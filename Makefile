@@ -18,10 +18,10 @@ test:
 # query-service concurrency tests, and the pool-aliasing test), plus the
 # warp/algorithm layers whose per-worker scratch reuse must stay race-free.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/...
+	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/live/... ./internal/stream/... ./internal/tgraph/...
 
-# Fuzz smoke: every fuzz target in the codec, state, warp and graph-format
-# layers for FUZZTIME each (Go allows one -fuzz target per invocation).
+# Fuzz smoke: every fuzz target in the codec, state, warp, graph-format and
+# graph-slicing layers for FUZZTIME each (Go allows one -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -31,6 +31,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWarp -fuzztime $(FUZZTIME) ./internal/warp
 	$(GO) test -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
+	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.

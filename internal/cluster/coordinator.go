@@ -244,7 +244,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := gm.Graph // the mapping stays open for the coordinator's lifetime
+	// The assembled result references the graph and outlives the
+	// coordinator, so the mapping goes when the graph is unreachable.
+	gm.CloseWhenUnreachable()
+	g := gm.Graph
 	if pmeta != nil && pmeta.Shards != cfg.Workers {
 		return nil, fmt.Errorf("cluster: graph partitioned for %d shards but Workers=%d",
 			pmeta.Shards, cfg.Workers)

@@ -17,6 +17,7 @@ import (
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/obs"
+	"graphite/internal/tgraph"
 )
 
 // Worker dial defaults: a replacement worker may start before the
@@ -119,6 +120,7 @@ type wrk struct {
 	wmu   sync.Mutex // serializes frame writes (main loop vs heartbeat)
 	log   *slog.Logger
 	sh    *core.Shard
+	gm    *tgraph.Mapped // the shard's graph
 	store *engine.CheckpointStore
 
 	self       int
@@ -184,6 +186,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		pending: map[pendKey][]byte{}, hbStop: make(chan struct{}),
 	}
 	defer w.stopHeartbeat()
+	// Nothing touches the graph once the loop has returned.
+	defer func() { w.gm.Close() }()
 	// A canceled context unblocks the frame read by closing the conn.
 	watchDone := make(chan struct{})
 	defer close(watchDone)
@@ -353,7 +357,8 @@ func (w *wrk) handleAssign(payload []byte) error {
 	if err != nil {
 		return w.fail(err)
 	}
-	g := gm.Graph // the mapping stays open for the worker's lifetime
+	w.gm = gm // unmapped when RunWorker returns
+	g := gm.Graph
 	prog, opts, err := algorithms.New(g, as.Algo, as.Params)
 	if err != nil {
 		return w.fail(err)

@@ -87,12 +87,12 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 	for v := 0; v < g.NumVertices(); v++ {
 		if !opts.Reverse || opts.Undirected {
 			for _, ei := range g.OutEdges(v) {
-				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.IndexOf(g.Edge(int(ei)).Dst))})
+				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.DstIndex(int(ei)))})
 			}
 		}
 		if opts.Reverse || opts.Undirected {
 			for _, ei := range g.InEdges(v) {
-				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.IndexOf(g.Edge(int(ei)).Src))})
+				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.SrcIndex(int(ei)))})
 			}
 		}
 	}

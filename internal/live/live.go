@@ -6,10 +6,12 @@
 // globally non-decreasing event times), two monotonicity dividends fall
 // out:
 //
-//   - MVCC for free: every ingest batch publishes a fresh immutable
-//     tgraph.Graph as a new epoch; in-flight queries keep reading the epoch
-//     they acquired while appends continue. Epochs are refcounted and
-//     reclaimed when the last reader releases them.
+//   - Copy-on-write epochs: every ingest batch publishes a new immutable
+//     tgraph.Graph as a new epoch, derived from its predecessor by
+//     rebuilding only the rows the batch touched and sharing the rest;
+//     in-flight queries keep reading the epoch they acquired while appends
+//     continue. Epochs are refcounted and reclaimed when the last reader
+//     releases them.
 //   - Cheap cache validity: a batch whose first event is at time t cannot
 //     change any window ending at or before t, so a cached result for
 //     window w stays valid until a batch with first-event time < w.End
@@ -261,7 +263,14 @@ func Open(path string, opts Options) (*Graph, error) {
 		m := snap.m
 		drop = func() { m.Close() }
 	} else {
-		cur, err = g.acc.Graph(opts.Horizon)
+		if snap != nil && snap.horizon == opts.Horizon {
+			// The snapshot is the graph before the tail: derive from it
+			// only the rows the tail touched. Patch copies the arrays that
+			// alias the mapping, so it can close right after.
+			cur, err = g.acc.Next(snap.m.Graph, opts.Horizon)
+		} else {
+			cur, err = g.acc.Graph(opts.Horizon)
+		}
 		if err != nil {
 			abort()
 			return nil, fmt.Errorf("live: materialize replayed graph: %w", err)
@@ -323,7 +332,7 @@ func (g *Graph) Apply(batch []stream.Event) (Info, error) {
 			return Info{}, fmt.Errorf("live: preflighted event rejected (graph wedged): %w", err)
 		}
 	}
-	snap, err := g.acc.Graph(g.opts.Horizon)
+	snap, err := g.acc.Next(g.cur.g, g.opts.Horizon)
 	if err != nil {
 		g.closed = true
 		return Info{}, fmt.Errorf("live: materialize snapshot (graph wedged): %w", err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -371,6 +372,24 @@ func TestWALEncodingRoundTrips(t *testing.T) {
 	for cut := 1; cut < len(enc); cut += 7 {
 		if _, err := decodeBatch(enc[:cut]); err == nil {
 			t.Errorf("truncation at %d decoded silently", cut)
+		}
+	}
+}
+
+func TestWALRecordLengthBound(t *testing.T) {
+	for _, n := range []int{0, 1, maxWALRecord} {
+		if err := checkRecordLen(n); err != nil {
+			t.Errorf("checkRecordLen(%d) = %v, want nil", n, err)
+		}
+	}
+	over := []int{maxWALRecord + 1, -1}
+	if strconv.IntSize == 64 {
+		u32 := int64(1) << 32 // payload lengths the u32 field would wrap
+		over = append(over, int(u32-1), int(u32), int(u32+7))
+	}
+	for _, n := range over {
+		if err := checkRecordLen(n); !errors.Is(err, ErrRecordTooLarge) {
+			t.Errorf("checkRecordLen(%d) = %v, want ErrRecordTooLarge", n, err)
 		}
 	}
 }

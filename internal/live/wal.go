@@ -59,7 +59,21 @@ var (
 	// torn tail this is not silently recoverable: acknowledged batches may
 	// be missing.
 	ErrWALCorrupt = errors.New("live: WAL corrupt")
+	// ErrRecordTooLarge rejects a batch whose encoded record would exceed
+	// maxWALRecord: replay would read its length as corruption (or, past
+	// 4 GiB, the u32 length field would wrap), after the batch was acked.
+	ErrRecordTooLarge = errors.New("live: batch too large for one WAL record")
 )
+
+// checkRecordLen is append's bound on a record payload of n bytes. The
+// bound is replay's, so every record append writes is one replay accepts;
+// it also keeps the length inside the u32 length field.
+func checkRecordLen(n int) error {
+	if n < 0 || int64(n) > maxWALRecord {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, n, maxWALRecord)
+	}
+	return nil
+}
 
 // wal is the durable append half; replay is a package function so recovery
 // never needs a live handle.
@@ -261,6 +275,9 @@ func syncDir(path string) error {
 // out in a single Write so a crash leaves at worst a torn prefix of it.
 func (w *wal) append(batch []stream.Event) error {
 	payload := encodeBatch(batch)
+	if err := checkRecordLen(len(payload)); err != nil {
+		return err
+	}
 	buf := make([]byte, 0, 4+len(payload)+4)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)

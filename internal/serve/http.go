@@ -74,6 +74,30 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// Request body bounds. A body past its bound is answered 413 before any
+// of it is acted on, so a client cannot make the server buffer an
+// unbounded request.
+const (
+	// MaxRunBody bounds a /v1/run request.
+	MaxRunBody = 1 << 20
+	// MaxEventsBody bounds one /v1/graphs/{id}/events batch.
+	MaxEventsBody = 32 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: over %d bytes", ErrTooLarge, limit)
+		}
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return nil
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -89,6 +113,8 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
+	case errors.Is(err, ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBusy):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
@@ -180,10 +206,8 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 // stream events per call, publishing one new epoch.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var req EventsRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+	if err := decodeBody(w, r, MaxEventsBody, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	res, err := s.ApplyEvents(r.PathValue("id"), req.Events)
@@ -196,10 +220,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+	if err := decodeBody(w, r, MaxRunBody, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	if req.Async {

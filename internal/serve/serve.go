@@ -47,6 +47,8 @@ import (
 var (
 	// ErrBadRequest marks malformed or semantically invalid requests (400).
 	ErrBadRequest = errors.New("serve: bad request")
+	// ErrTooLarge rejects a request body over its bound (see MaxRunBody).
+	ErrTooLarge = errors.New("serve: request body too large")
 	// ErrUnknownGraph is returned for a graph name the server did not load (404).
 	ErrUnknownGraph = errors.New("serve: unknown graph")
 	// ErrUnknownJob is returned for an absent job id (404).

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,6 +74,7 @@ type openSpan struct {
 	start  ival.Time
 	closed bool
 	end    ival.Time
+	dirty  bool // touched since the last Graph or Next
 }
 
 // propRun tracks the active value run of one property label.
@@ -95,6 +97,11 @@ type Accumulator struct {
 	eruns  map[tgraph.EdgeID]map[string]propRun
 
 	events int
+
+	// dirtyV and dirtyE list the entities touched since the last Graph or
+	// Next: the rows Next rebuilds.
+	dirtyV []tgraph.VertexID
+	dirtyE []tgraph.EdgeID
 }
 
 // NewAccumulator returns an empty accumulator.
@@ -134,13 +141,16 @@ func (a *Accumulator) Apply(ev Event) error {
 			}
 			return fmt.Errorf("%w: vertex %d", ErrStillOpen, ev.V)
 		}
-		a.vspans[ev.V] = &openSpan{start: ev.T}
+		s := &openSpan{start: ev.T}
+		a.vspans[ev.V] = s
+		a.touchVertex(ev.V, s)
 	case RemoveVertex:
 		s, ok := a.vspans[ev.V]
 		if !ok || s.closed {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
 		}
 		s.closed, s.end = true, ev.T
+		a.touchVertex(ev.V, s)
 		a.closeRuns(a.vruns[ev.V], a.propsOf(a.vprops, ev.V), ev.T)
 		delete(a.vruns, ev.V)
 	case AddEdge:
@@ -153,20 +163,24 @@ func (a *Accumulator) Apply(ev Event) error {
 		if !a.vertexAlive(ev.Src, ev.T) || !a.vertexAlive(ev.Dst, ev.T) {
 			return fmt.Errorf("%w: edge %d endpoints at t=%d", ErrUnknownOwner, ev.E, ev.T)
 		}
-		a.espans[ev.E] = &openSpan{start: ev.T}
+		s := &openSpan{start: ev.T}
+		a.espans[ev.E] = s
 		a.etails[ev.E] = [2]tgraph.VertexID{ev.Src, ev.Dst}
+		a.touchEdge(ev.E, s)
 	case RemoveEdge:
 		s, ok := a.espans[ev.E]
 		if !ok || s.closed {
 			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
 		}
 		s.closed, s.end = true, ev.T
+		a.touchEdge(ev.E, s)
 		a.closeRuns(a.eruns[ev.E], a.epropsOf(ev.E), ev.T)
 		delete(a.eruns, ev.E)
 	case SetVertexProp:
 		if !a.vertexAlive(ev.V, ev.T) {
 			return fmt.Errorf("%w: vertex %d", ErrUnknownOwner, ev.V)
 		}
+		a.touchVertex(ev.V, a.vspans[ev.V])
 		runs := a.vruns[ev.V]
 		if runs == nil {
 			runs = map[string]propRun{}
@@ -178,6 +192,7 @@ func (a *Accumulator) Apply(ev Event) error {
 		if !ok || s.closed {
 			return fmt.Errorf("%w: edge %d", ErrUnknownOwner, ev.E)
 		}
+		a.touchEdge(ev.E, s)
 		runs := a.eruns[ev.E]
 		if runs == nil {
 			runs = map[string]propRun{}
@@ -283,6 +298,20 @@ func (a *Accumulator) Preflight(batch []Event) error {
 	return nil
 }
 
+func (a *Accumulator) touchVertex(id tgraph.VertexID, s *openSpan) {
+	if !s.dirty {
+		s.dirty = true
+		a.dirtyV = append(a.dirtyV, id)
+	}
+}
+
+func (a *Accumulator) touchEdge(id tgraph.EdgeID, s *openSpan) {
+	if !s.dirty {
+		s.dirty = true
+		a.dirtyE = append(a.dirtyE, id)
+	}
+}
+
 func (a *Accumulator) vertexAlive(id tgraph.VertexID, t ival.Time) bool {
 	s, ok := a.vspans[id]
 	return ok && !s.closed && s.start <= t
@@ -329,80 +358,121 @@ func (a *Accumulator) closeRuns(runs map[string]propRun, sink map[string][]tgrap
 	}
 }
 
-// Graph materializes the accumulated state as a valid temporal graph.
-// Entities still open are closed at the horizon when it is positive, or left
-// unbounded when horizon is zero or negative.
+// Graph materializes the accumulated state as a valid temporal graph, its
+// vertices and edges in ascending id order. Entities still open are closed
+// at the horizon when it is positive, or left unbounded when horizon is zero
+// or negative. The result becomes the base a following Next derives from.
 func (a *Accumulator) Graph(horizon ival.Time) (*tgraph.Graph, error) {
-	end := func(s *openSpan) ival.Time {
-		if s.closed {
-			return s.end
-		}
-		if horizon > 0 {
-			return horizon
-		}
-		return ival.Infinity
-	}
-	b := tgraph.NewBuilder(len(a.vspans), len(a.espans))
-	// Deterministic order: sorted ids.
 	vids := make([]tgraph.VertexID, 0, len(a.vspans))
 	for id := range a.vspans {
 		vids = append(vids, id)
-	}
-	sort.Slice(vids, func(i, j int) bool { return vids[i] < vids[j] })
-	for _, id := range vids {
-		s := a.vspans[id]
-		life := ival.New(s.start, end(s))
-		if life.IsEmpty() {
-			continue
-		}
-		b.AddVertex(id, life)
-		a.flushProps(b.SetVertexProp, id, 0, a.vprops[id], a.vruns[id], life)
 	}
 	eids := make([]tgraph.EdgeID, 0, len(a.espans))
 	for id := range a.espans {
 		eids = append(eids, id)
 	}
-	sort.Slice(eids, func(i, j int) bool { return eids[i] < eids[j] })
+	g, err := tgraph.Patch(nil, a.delta(horizon, vids, eids))
+	if err != nil {
+		return nil, err
+	}
+	a.clean()
+	return g, nil
+}
+
+// Next derives the graph after the events applied since prev was
+// materialized: prev must equal the result of the last Graph or Next call
+// under the same horizon; before any such call it is nil for a
+// NewAccumulator, and for UnmarshalAccumulator the graph of the state that
+// was marshaled.
+// Only the rows those events touched are rebuilt; tgraph.Patch shares
+// every other row, property set and adjacency row with prev and never
+// modifies prev. On error nothing is consumed and prev stays the base.
+func (a *Accumulator) Next(prev *tgraph.Graph, horizon ival.Time) (*tgraph.Graph, error) {
+	g, err := tgraph.Patch(prev, a.delta(horizon, a.dirtyV, a.dirtyE))
+	if err != nil {
+		return nil, err
+	}
+	a.clean()
+	return g, nil
+}
+
+// clean marks every entity as published.
+func (a *Accumulator) clean() {
+	for _, id := range a.dirtyV {
+		a.vspans[id].dirty = false
+	}
+	for _, id := range a.dirtyE {
+		a.espans[id].dirty = false
+	}
+	a.dirtyV, a.dirtyE = a.dirtyV[:0], a.dirtyE[:0]
+}
+
+// delta materializes the rows of the given entities (sorting the id
+// slices in place): an entity whose lifespan is empty under horizon is a
+// deletion, any other an upsert.
+func (a *Accumulator) delta(horizon ival.Time, vids []tgraph.VertexID, eids []tgraph.EdgeID) tgraph.Delta {
+	life := func(s *openSpan) ival.Interval {
+		switch {
+		case s.closed:
+			return ival.New(s.start, s.end)
+		case horizon > 0:
+			return ival.New(s.start, horizon)
+		}
+		return ival.From(s.start)
+	}
+	slices.Sort(vids)
+	slices.Sort(eids)
+	var d tgraph.Delta
+	for _, id := range vids {
+		l := life(a.vspans[id])
+		if l.IsEmpty() {
+			d.DelVertices = append(d.DelVertices, id)
+			continue
+		}
+		d.Vertices = append(d.Vertices, tgraph.Vertex{ID: id, Lifespan: l, Props: rowProps(a.vprops[id], a.vruns[id], l)})
+	}
 	for _, id := range eids {
-		s := a.espans[id]
-		life := ival.New(s.start, end(s))
-		if life.IsEmpty() {
+		l := life(a.espans[id])
+		if l.IsEmpty() {
+			d.DelEdges = append(d.DelEdges, id)
 			continue
 		}
 		tails := a.etails[id]
-		b.AddEdge(id, tails[0], tails[1], life)
-		for label, entries := range a.eprops[id] {
-			for _, p := range entries {
-				if x := p.Interval.Intersect(life); !x.IsEmpty() {
-					b.SetEdgeProp(id, label, x, p.Value)
-				}
-			}
-		}
-		for label, run := range a.eruns[id] {
-			if x := ival.New(run.start, life.End).Intersect(life); !x.IsEmpty() {
-				b.SetEdgeProp(id, label, x, run.value)
-			}
-		}
+		d.Edges = append(d.Edges, tgraph.Edge{ID: id, Src: tails[0], Dst: tails[1], Lifespan: l,
+			Props: rowProps(a.eprops[id], a.eruns[id], l)})
 	}
-	return b.Build()
+	return d
 }
 
-// flushProps writes closed entries plus the open runs, clipped to life.
-func (a *Accumulator) flushProps(set func(tgraph.VertexID, string, ival.Interval, int64) *tgraph.Builder,
-	vid tgraph.VertexID, _ tgraph.EdgeID, closed map[string][]tgraph.PropEntry,
-	runs map[string]propRun, life ival.Interval) {
-	for label, entries := range closed {
-		for _, p := range entries {
-			if x := p.Interval.Intersect(life); !x.IsEmpty() {
-				set(vid, label, x, p.Value)
+// rowProps materializes one entity's properties: its closed entries plus
+// its open runs, clipped to life, labels ascending. Closed entries are
+// appended in time order and a run starts where the label's last closed
+// entry ends, so each label's entries come out sorted and disjoint.
+func rowProps(closed map[string][]tgraph.PropEntry, runs map[string]propRun, life ival.Interval) tgraph.Props {
+	labels := make([]string, 0, len(closed)+len(runs))
+	for l := range closed {
+		labels = append(labels, l)
+	}
+	for l := range runs {
+		if _, dup := closed[l]; !dup {
+			labels = append(labels, l)
+		}
+	}
+	slices.Sort(labels)
+	var p tgraph.Props
+	for _, l := range labels {
+		for _, e := range closed[l] {
+			if x := e.Interval.Intersect(life); !x.IsEmpty() {
+				p.Add(l, tgraph.PropEntry{Interval: x, Value: e.Value})
+			}
+		}
+		if run, ok := runs[l]; ok {
+			if x := ival.New(run.start, life.End).Intersect(life); !x.IsEmpty() {
+				p.Add(l, tgraph.PropEntry{Interval: x, Value: run.value})
 			}
 		}
 	}
-	for label, run := range runs {
-		if x := ival.New(run.start, life.End).Intersect(life); !x.IsEmpty() {
-			set(vid, label, x, run.value)
-		}
-	}
+	return p
 }
 
 // ReadLog parses a text event log, one event per line:

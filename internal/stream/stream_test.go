@@ -294,3 +294,43 @@ func TestPreflightValidatesWithoutMutating(t *testing.T) {
 	// And the accumulator still accepts the good batch for real afterwards.
 	apply(t, a, good...)
 }
+
+// TestNextMatchesGraph derives a graph batch by batch with Next and checks
+// each against a full Graph of the same state, through ids above and below
+// the maximum, removals and property churn.
+func TestNextMatchesGraph(t *testing.T) {
+	for _, horizon := range []ival.Time{0, 6} {
+		a := NewAccumulator()
+		batches := [][]Event{
+			{{Op: AddVertex, T: 0, V: 10}, {Op: AddVertex, T: 0, V: 20}, {Op: AddEdge, T: 1, E: 5, Src: 10, Dst: 20},
+				{Op: SetEdgeProp, T: 1, E: 5, Label: "w", Value: 1}},
+			{{Op: AddVertex, T: 2, V: 30}, {Op: SetEdgeProp, T: 2, E: 5, Label: "w", Value: 2},
+				{Op: SetVertexProp, T: 2, V: 10, Label: "k", Value: 7}},
+			{{Op: AddVertex, T: 3, V: 15}, {Op: AddEdge, T: 3, E: 1, Src: 15, Dst: 30}}, // ids below the maximum
+			{{Op: RemoveEdge, T: 4, E: 5}, {Op: SetVertexProp, T: 4, V: 10, Label: "k", Value: 8},
+				{Op: SetVertexProp, T: 4, V: 10, Label: "k", Value: 9}},
+			{{Op: AddVertex, T: 7, V: 40}, {Op: RemoveVertex, T: 7, V: 40}, {Op: RemoveVertex, T: 8, V: 20}},
+		}
+		var prev *tgraph.Graph
+		for i, b := range batches {
+			apply(t, a, b...)
+			got, err := a.Next(prev, horizon)
+			if err != nil {
+				t.Fatalf("horizon %d batch %d: Next: %v", horizon, i, err)
+			}
+			state, _ := a.MarshalBinary()
+			fresh, err := UnmarshalAccumulator(state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Graph(horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tgraph.Equal(want, got); err != nil {
+				t.Fatalf("horizon %d batch %d: Next differs from Graph: %v", horizon, i, err)
+			}
+			prev = got
+		}
+	}
+}

@@ -1,9 +1,10 @@
 package tgraph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	ival "graphite/internal/interval"
 )
@@ -130,35 +131,24 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	g := &Graph{
-		vertices: b.vertices,
-		edges:    b.edges,
-		vindex:   b.vseen,
-		out:      make([][]int32, len(b.vertices)),
-		in:       make([][]int32, len(b.vertices)),
-		srcIdx:   make([]int32, len(b.edges)),
-		dstIdx:   make([]int32, len(b.edges)),
-	}
-	for i := range g.vertices {
-		v := &g.vertices[i]
-		if err := normalizeProps(v.Props, fmt.Sprintf("vertex %d", v.ID)); err != nil {
+	for i := range b.vertices {
+		v := &b.vertices[i]
+		if err := normalizeProps(v.Props, "vertex", int64(v.ID)); err != nil {
 			return nil, err
 		}
-		g.lifespan = g.lifespan.Union(v.Lifespan)
 	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		if err := normalizeProps(e.Props, fmt.Sprintf("edge %d", e.ID)); err != nil {
+	srcIdx := make([]int32, len(b.edges))
+	dstIdx := make([]int32, len(b.edges))
+	for i := range b.edges {
+		e := &b.edges[i]
+		if err := normalizeProps(e.Props, "edge", int64(e.ID)); err != nil {
 			return nil, err
 		}
-		si := g.vindex[e.Src]
-		di := g.vindex[e.Dst]
-		g.srcIdx[i] = si
-		g.dstIdx[i] = di
-		g.out[si] = append(g.out[si], int32(i))
-		g.in[di] = append(g.in[di], int32(i))
+		srcIdx[i] = b.vseen[e.Src]
+		dstIdx[i] = b.vseen[e.Dst]
 	}
-	g.horizon = g.computeHorizon()
+	g := newGraph(b.vertices, b.edges, srcIdx, dstIdx, nil)
+	g.vindex = b.vseen
 	return g, nil
 }
 
@@ -174,16 +164,14 @@ func (b *Builder) MustBuild() *Graph {
 // normalizeProps sorts each label's entries by start and rejects entries with
 // intersecting intervals and different values (Definition 1). Entries with
 // intersecting intervals and the same value are rejected too: they indicate a
-// malformed input.
-func normalizeProps(p Props, owner string) error {
+// malformed input. The owner (kind and id) is only formatted into an error.
+func normalizeProps(p Props, kind string, id int64) error {
 	for label, entries := range p.All() {
-		sort.Slice(entries, func(i, j int) bool {
-			return entries[i].Interval.Start < entries[j].Interval.Start
-		})
+		slices.SortFunc(entries, func(a, b PropEntry) int { return cmp.Compare(a.Interval.Start, b.Interval.Start) })
 		for i := 1; i < len(entries); i++ {
 			if entries[i-1].Interval.Intersects(entries[i].Interval) {
-				return fmt.Errorf("%w: %s label %q: %v and %v",
-					ErrPropConflict, owner, label, entries[i-1].Interval, entries[i].Interval)
+				return fmt.Errorf("%w: %s %d label %q: %v and %v",
+					ErrPropConflict, kind, id, label, entries[i-1].Interval, entries[i].Interval)
 			}
 		}
 	}

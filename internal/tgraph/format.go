@@ -215,9 +215,11 @@ func encodeSnapVIndex(g *Graph) []byte {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		return g.vertices[perm[a]].ID < g.vertices[perm[b]].ID
-	})
+	if !idsAscend(g.vertices, vertexID) {
+		sort.Slice(perm, func(a, b int) bool {
+			return g.vertices[perm[a]].ID < g.vertices[perm[b]].ID
+		})
+	}
 	buf := make([]byte, 4*len(perm))
 	for i, p := range perm {
 		binary.LittleEndian.PutUint32(buf[4*i:], uint32(p))
@@ -746,6 +748,7 @@ func decodeSnapshot(data []byte, verifyCRC bool) (*Graph, []byte, error) {
 		dstIdx:   dstIdx,
 		lifespan: lifespan,
 		horizon:  ival.Time(horizon),
+		borrowed: true,
 	}
 	return g, extra, nil
 }

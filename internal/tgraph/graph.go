@@ -119,21 +119,27 @@ type Edge struct {
 
 // Graph is an immutable temporal property graph.
 //
-// Exactly one of vindex/vsorted is populated: graphs built in memory carry
-// the hash index, graphs decoded from a mapped snapshot carry the sorted
-// permutation (no per-open map construction) and look ids up by binary
-// search.
+// At most one of vindex/vsorted is populated: graphs from Builder carry the
+// hash index, graphs decoded from a mapped snapshot carry the sorted
+// permutation (no per-open map construction), and graphs whose vertex table
+// is already in ascending id order (Patch, Slice of such a graph) carry
+// neither. The last two look ids up by binary search.
 type Graph struct {
-	vertices []Vertex
-	edges    []Edge
-	vindex   map[VertexID]int32 // VertexID -> index into vertices
-	vsorted  []int32            // vertex indices sorted by id (mapped graphs)
-	out      [][]int32          // vertex index -> indices into edges (out-edges)
-	in       [][]int32          // vertex index -> indices into edges (in-edges)
-	srcIdx   []int32            // edge index -> dense source vertex index
-	dstIdx   []int32            // edge index -> dense destination vertex index
-	lifespan ival.Interval      // hull of all vertex lifespans
-	horizon  ival.Time          // cached largest finite boundary (see Horizon)
+	vertices  []Vertex
+	edges     []Edge
+	vindex    map[VertexID]int32 // VertexID -> index into vertices
+	vsorted   []int32            // vertex indices sorted by id (mapped graphs)
+	out       [][]int32          // vertex index -> indices into edges (out-edges)
+	in        [][]int32          // vertex index -> indices into edges (in-edges)
+	srcIdx    []int32            // edge index -> dense source vertex index
+	dstIdx    []int32            // edge index -> dense destination vertex index
+	lifespan  ival.Interval      // hull of all vertex lifespans
+	horizon   ival.Time          // cached largest finite boundary (see Horizon)
+	idOrdered bool               // both tables ascend by id (see Patch)
+	// borrowed marks adjacency, endpoint and index arrays that alias bytes
+	// the graph does not own (a snapshot mapping): graphs derived from it
+	// copy those arrays instead of sharing them.
+	borrowed bool
 }
 
 // NumVertices returns |V|.
@@ -171,6 +177,9 @@ func (g *Graph) IndexOf(id VertexID) int {
 			return -1
 		}
 		return int(i)
+	}
+	if g.vsorted == nil {
+		return searchRow(g.vertices, id, vertexID)
 	}
 	lo, hi := 0, len(g.vsorted)
 	for lo < hi {

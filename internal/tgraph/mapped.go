@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"unsafe"
 )
 
@@ -81,6 +82,20 @@ func (m *Mapped) Close() error {
 	data := m.data
 	m.data = nil
 	return munmapFile(data)
+}
+
+// CloseWhenUnreachable hands the mapping's release to the garbage
+// collector: the pages are unmapped once m's graph is unreachable, and
+// Close becomes a no-op. It is for owners that hand the graph out inside
+// results whose lifetime they do not control; the graph and the slices its
+// accessors return stay valid for as long as the graph itself is
+// reachable.
+func (m *Mapped) CloseWhenUnreachable() {
+	if m == nil || !m.mapped {
+		return
+	}
+	m.mapped = false
+	runtime.AddCleanup(m.Graph, func(data []byte) { munmapFile(data) }, m.data)
 }
 
 // OpenMapped memory-maps a snapshot (.gsn) file, verifying every section
