@@ -16,12 +16,13 @@ test:
 # Race-checked run of the fault-tolerance, observability and serving
 # surfaces (the chaos acceptance tests, the concurrent registry tests, the
 # query-service concurrency tests, and the pool-aliasing test), plus the
-# warp/algorithm layers whose per-worker scratch reuse must stay race-free.
+# ICM/warp/algorithm layers whose per-worker scratch reuse and shared
+# run-setup slabs must stay race-free.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/live/... ./internal/stream/... ./internal/tgraph/...
+	$(GO) test -race ./internal/core/... ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/live/... ./internal/stream/... ./internal/tgraph/...
 
-# Fuzz smoke: every fuzz target in the codec, state, warp, graph-format and
-# graph-slicing layers for FUZZTIME each (Go allows one -fuzz target per invocation).
+# Fuzz smoke: every fuzz target in the codec, state, warp, graph-format,
+# graph-slicing and event-log layers for FUZZTIME each (Go allows one -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
@@ -32,6 +33,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotMutation -fuzztime $(FUZZTIME) ./internal/tgraph
 	$(GO) test -run '^$$' -fuzz FuzzSlice -fuzztime $(FUZZTIME) ./internal/tgraph
+	$(GO) test -run '^$$' -fuzz FuzzParseEvent -fuzztime $(FUZZTIME) ./internal/stream
 
 # The full gate: everything vetted, built, and race-tested. Long-running
 # chaos tests honour -short via `make verify SHORT=-short`.

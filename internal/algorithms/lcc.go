@@ -17,7 +17,7 @@ import (
 // The schedule is 4 fixed supersteps: announce, forward, close-and-reply,
 // accumulate.
 type LCC struct {
-	degParts [][]IntervalValue // per vertex: out-degree per interval
+	degrees degreeTable // per vertex: out-degree per interval
 }
 
 // lccVal is the per-interval state: origins pending forwarding, then the
@@ -30,11 +30,7 @@ type lccVal struct {
 
 // NewLCC precomputes the temporal out-degree partitions.
 func NewLCC(g *tgraph.Graph) *LCC {
-	a := &LCC{degParts: make([][]IntervalValue, g.NumVertices())}
-	for v := 0; v < g.NumVertices(); v++ {
-		a.degParts[v] = degreePartition(g, v)
-	}
-	return a
+	return &LCC{degrees: newDegreeTable(g)}
 }
 
 // Init seeds an empty state.
@@ -112,7 +108,7 @@ func (a *LCC) accumulate(v *core.VertexCtx, t ival.Interval, msgs []any) {
 	if count == 0 {
 		return
 	}
-	for _, dp := range a.degParts[v.Index()] {
+	for _, dp := range a.degrees.of(v.Index()) {
 		x := dp.Interval.Intersect(t)
 		if x.IsEmpty() {
 			continue

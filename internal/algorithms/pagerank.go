@@ -1,8 +1,6 @@
 package algorithms
 
 import (
-	"sort"
-
 	"graphite/internal/codec"
 	"graphite/internal/core"
 	ival "graphite/internal/interval"
@@ -23,7 +21,7 @@ type PageRank struct {
 	Iterations int     // rank updates; the paper uses 10
 	Damping    float64 // typically 0.85
 
-	degParts [][]IntervalValue // per vertex: out-degree per interval
+	degrees degreeTable // per vertex: out-degree per interval
 }
 
 // NewPageRank precomputes the per-vertex temporal out-degree partition.
@@ -35,34 +33,8 @@ func NewPageRank(g *tgraph.Graph, iterations int, damping float64) *PageRank {
 	if a.Damping <= 0 {
 		a.Damping = 0.85
 	}
-	a.degParts = make([][]IntervalValue, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		a.degParts[v] = degreePartition(g, v)
-	}
+	a.degrees = newDegreeTable(g)
 	return a
-}
-
-// degreePartition splits a vertex's lifespan at its out-edges' lifespan
-// boundaries and annotates each piece with the out-degree.
-func degreePartition(g *tgraph.Graph, v int) []IntervalValue {
-	life := g.VertexAt(v).Lifespan
-	bounds := []ival.Time{life.Start, life.End}
-	for _, ei := range g.OutEdges(v) {
-		x := g.Edge(int(ei)).Lifespan.Intersect(life)
-		if !x.IsEmpty() {
-			bounds = append(bounds, x.Start, x.End)
-		}
-	}
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
-	var out []IntervalValue
-	for i := 0; i+1 < len(bounds); i++ {
-		if bounds[i] == bounds[i+1] {
-			continue
-		}
-		piece := ival.New(bounds[i], bounds[i+1])
-		out = append(out, IntervalValue{Interval: piece, Value: int64(g.OutDegreeAt(v, piece.Start))})
-	}
-	return out
 }
 
 // Init seeds the uniform rank.
@@ -93,7 +65,7 @@ func (a *PageRank) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, s
 		return nil
 	}
 	rank := state.(float64)
-	for _, dp := range a.degParts[v.Index()] {
+	for _, dp := range a.degrees.of(v.Index()) {
 		x := dp.Interval.Intersect(t)
 		if x.IsEmpty() || dp.Value == 0 {
 			continue

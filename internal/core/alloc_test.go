@@ -8,6 +8,7 @@ import (
 
 	"graphite/internal/codec"
 	"graphite/internal/engine"
+	"graphite/internal/gen"
 	ival "graphite/internal/interval"
 	"graphite/internal/tgraph"
 )
@@ -237,4 +238,80 @@ func TestAlignNoAllocsPageRankTransit(t *testing.T) {
 			PayloadCodec:        codec.Float64{},
 			DisableWarpCombiner: true,
 		})
+}
+
+// swapRuntime lets one engine shard drive Init over a fresh runtime per
+// measured iteration, so the setup gate counts the runtime's allocations and
+// only a constant engine overhead.
+type swapRuntime struct{ *runtime }
+
+// setupAllocs returns the average allocation count of building a runtime
+// over g and running Init on every vertex.
+func setupAllocs(t *testing.T, g *tgraph.Graph, opts Options) float64 {
+	t.Helper()
+	prog := &ssspGateProg{source: 0, start: 1}
+	sw := &swapRuntime{runtime: newRuntime(g, prog, opts)}
+	sh, err := engine.NewShard(g.NumVertices(), sw, engine.Config{NumWorkers: 1, PayloadCodec: codec.Int64{}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(20, func() {
+		sw.runtime = newRuntime(g, prog, opts)
+		if err := sh.Init(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRunSetupAllocsConstant is the setup half of the allocation gates:
+// building a run's runtime tables and initializing every vertex state costs
+// the same small number of allocations on a graph and on one 4x larger —
+// every per-edge and per-vertex table is one flat slab.
+func TestRunSetupAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc gate skipped under -race: detector instrumentation and pool perturbation inflate alloc counts")
+	}
+	const maxAllocs = 20
+	var graphs []*tgraph.Graph
+	for _, scale := range []gen.Scale{0.25, 1} {
+		g, err := gen.Generate(gen.MAGLike(scale), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for name, opts := range map[string]Options{
+		"forward":       {PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}},
+		"reverse-slack": {Reverse: true, ScatterSlackLabel: tgraph.PropTravelTime},
+		"undirected":    {Undirected: true},
+	} {
+		var counts []float64
+		for _, g := range graphs {
+			counts = append(counts, setupAllocs(t, g, opts))
+		}
+		t.Logf("%s: setup allocs %v", name, counts)
+		if counts[0] != counts[1] || counts[1] > maxAllocs {
+			t.Errorf("%s: setup allocs %v on a graph and one 4x larger, want equal and <= %d",
+				name, counts, maxAllocs)
+		}
+	}
+}
+
+// BenchmarkNewRuntime measures building a run's runtime tables at the size
+// the query-mix benchmark serves.
+func BenchmarkNewRuntime(b *testing.B) {
+	for _, p := range []gen.Profile{gen.MAGLike(0.5), gen.RedditLike(0.5)} {
+		g, err := gen.Generate(p, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := Options{PropLabels: []string{tgraph.PropTravelTime, tgraph.PropTravelCost}}
+		prog := &ssspGateProg{source: 0, start: 1}
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newRuntime(g, prog, opts)
+			}
+		})
+	}
 }

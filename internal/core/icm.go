@@ -254,5 +254,6 @@ func Run(g *tgraph.Graph, prog Program, opts Options) (*Result, error) {
 	if opts.Registry != nil {
 		publishStats(opts.Registry, s)
 	}
+	compactStates(rt.states)
 	return &Result{Graph: g, Metrics: m, Stats: s, states: rt.states}, nil
 }

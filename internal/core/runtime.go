@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,19 +15,38 @@ import (
 // vertex states, runs the pre-compute time-warp over incoming messages, and
 // the pre-scatter alignment of updated states with out-edge property
 // partitions.
+//
+// Every per-run table is one flat array sized up front from counts the graph
+// already holds, so setting up a run costs O(1) heap allocations however
+// large the graph is (DESIGN §12 "Run setup").
 type runtime struct {
-	g         *tgraph.Graph
-	prog      Program
-	opts      Options
-	combine   warp.CombineFunc // nil when absent or disabled
-	states    []*PartitionedState
-	edgeParts [][]ival.Interval // per edge: lifespan partitioned at property boundaries
-	edgeMatch [][]ival.Interval // per edge piece: the interval that triggers scatter
-	targets   [][]target        // per vertex: edges scatter traverses and their far endpoints
+	g       *tgraph.Graph
+	prog    Program
+	opts    Options
+	combine warp.CombineFunc // nil when absent or disabled
+	states  []*PartitionedState
+
+	// Edge i's lifespan, partitioned at its property boundaries, is
+	// pieces[pieceOff[i]:pieceOff[i+1]]; match[k] is the interval that
+	// triggers scatter on pieces[k] (match aliases pieces unless
+	// ScatterSlackLabel translates it).
+	pieceOff []int32
+	pieces   []ival.Interval
+	match    []ival.Interval
+
+	// Vertex v's scatter targets are targets[targetOff[v]:targetOff[v+1]].
+	targetOff []int32
+	targets   []target
+
+	// stateSlab backs every vertex's PartitionedState and partSlab its
+	// initial parts/spare arrays: slots 2v and 2v+1, one element each.
+	stateSlab []PartitionedState
+	partSlab  []warp.IntervalValue
+
 	threshold float64
 
-	// Per-worker reusable scratch; sized lazily at the first Run call, when
-	// the engine's effective worker count is known.
+	// Per-worker reusable scratch; sized lazily at the first Init or Run
+	// call, when the engine's effective worker count is known.
 	wss    []workspace
 	wsOnce sync.Once
 
@@ -55,14 +74,14 @@ type target struct {
 }
 
 func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
+	n := g.NumVertices()
 	rt := &runtime{
 		g:         g,
 		prog:      prog,
 		opts:      opts,
-		states:    make([]*PartitionedState, g.NumVertices()),
-		edgeParts: make([][]ival.Interval, g.NumEdges()),
-		edgeMatch: make([][]ival.Interval, g.NumEdges()),
-		targets:   make([][]target, g.NumVertices()),
+		states:    make([]*PartitionedState, n),
+		stateSlab: make([]PartitionedState, n),
+		partSlab:  make([]warp.IntervalValue, 2*n),
 		threshold: opts.SuppressionThreshold,
 	}
 	if rt.threshold <= 0 {
@@ -71,64 +90,114 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 	if wc, ok := prog.(WarpCombiner); ok && !opts.DisableWarpCombiner {
 		rt.combine = wc.CombineWarp
 	}
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(i)
-		rt.edgeParts[i] = edgePartition(e, opts.PropLabels)
-		rt.edgeMatch[i] = rt.edgeParts[i]
-		if opts.ScatterSlackLabel != "" {
-			match := make([]ival.Interval, len(rt.edgeParts[i]))
-			for k, piece := range rt.edgeParts[i] {
-				slack, _ := e.Props.ValueAt(opts.ScatterSlackLabel, piece.Start)
-				match[k] = piece.Translate(slack)
-			}
-			rt.edgeMatch[i] = match
-		}
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if !opts.Reverse || opts.Undirected {
-			for _, ei := range g.OutEdges(v) {
-				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.DstIndex(int(ei)))})
-			}
-		}
-		if opts.Reverse || opts.Undirected {
-			for _, ei := range g.InEdges(v) {
-				rt.targets[v] = append(rt.targets[v], target{edge: ei, dst: int32(g.SrcIndex(int(ei)))})
-			}
-		}
-	}
+	rt.buildPieces()
+	rt.buildTargets()
 	return rt
 }
 
-// edgePartition splits an edge's lifespan at the boundaries of its property
-// values so that each scatter call sees time-invariant properties.
-func edgePartition(e *tgraph.Edge, labels []string) []ival.Interval {
-	bounds := []ival.Time{e.Lifespan.Start, e.Lifespan.End}
-	add := func(entries []tgraph.PropEntry) {
-		for _, p := range entries {
-			x := p.Interval.Intersect(e.Lifespan)
-			if !x.IsEmpty() {
-				bounds = append(bounds, x.Start, x.End)
+// buildPieces partitions every edge's lifespan at the boundaries of its
+// property values, so that each scatter call sees time-invariant properties.
+// An edge with k property entries has at most 2k+2 bounds; a counting pass
+// sizes one scratch slab by that. The next pass packs each edge's sorted,
+// distinct bounds back to back into it and so learns the exact piece count
+// (an edge with m bounds has m-1 pieces; labels often share bounds, so this
+// is well below the 2k+1 bound). The last turns consecutive bounds into the
+// exactly sized piece slab the run keeps.
+func (rt *runtime) buildPieces() {
+	g, labels := rt.g, rt.opts.PropLabels
+	total := 0
+	for i := 0; i < g.NumEdges(); i++ {
+		k := 0
+		forEachPropEntries(g.Edge(i), labels, func(es []tgraph.PropEntry) { k += len(es) })
+		total += 2*k + 2
+	}
+	bounds := make([]ival.Time, 0, total)
+	rt.pieceOff = make([]int32, g.NumEdges()+1)
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
+		from := len(bounds)
+		bounds = append(bounds, e.Lifespan.Start, e.Lifespan.End)
+		forEachPropEntries(e, labels, func(es []tgraph.PropEntry) {
+			for _, p := range es {
+				if x := p.Interval.Intersect(e.Lifespan); !x.IsEmpty() {
+					bounds = append(bounds, x.Start, x.End)
+				}
+			}
+		})
+		slices.Sort(bounds[from:])
+		bounds = bounds[:from+len(slices.Compact(bounds[from:]))]
+		rt.pieceOff[i+1] = rt.pieceOff[i] + int32(len(bounds)-from-1)
+	}
+	rt.pieces = make([]ival.Interval, rt.pieceOff[g.NumEdges()])
+	for i := 0; i < g.NumEdges(); i++ {
+		off, n := int(rt.pieceOff[i]), int(rt.pieceOff[i+1]-rt.pieceOff[i])
+		for k := 0; k < n; k++ {
+			rt.pieces[off+k] = ival.New(bounds[k], bounds[k+1])
+		}
+		bounds = bounds[n+1:]
+	}
+	rt.match = rt.pieces
+	if label := rt.opts.ScatterSlackLabel; label != "" {
+		rt.match = make([]ival.Interval, len(rt.pieces))
+		for i := 0; i < g.NumEdges(); i++ {
+			e := g.Edge(i)
+			for k := rt.pieceOff[i]; k < rt.pieceOff[i+1]; k++ {
+				slack, _ := e.Props.ValueAt(label, rt.pieces[k].Start)
+				rt.match[k] = rt.pieces[k].Translate(slack)
 			}
 		}
 	}
+}
+
+// forEachPropEntries calls fn with each of e's property entry lists whose
+// boundaries partition scatter: those of labels, or of every label when
+// labels is empty.
+func forEachPropEntries(e *tgraph.Edge, labels []string, fn func([]tgraph.PropEntry)) {
 	if len(labels) == 0 {
-		for _, entries := range e.Props.All() {
-			add(entries)
+		for _, es := range e.Props.All() {
+			fn(es)
 		}
-	} else {
-		for _, l := range labels {
-			add(e.Props.Entries(l))
-		}
+		return
 	}
-	sort.Slice(bounds, func(a, b int) bool { return bounds[a] < bounds[b] })
-	var parts []ival.Interval
-	for i := 0; i+1 < len(bounds); i++ {
-		if bounds[i] == bounds[i+1] {
-			continue
-		}
-		parts = append(parts, ival.New(bounds[i], bounds[i+1]))
+	for _, l := range labels {
+		fn(e.Props.Entries(l))
 	}
-	return parts
+}
+
+// buildTargets lays out the edges each vertex's scatter traverses as a CSR:
+// out-edges to their destinations unless Reverse, in-edges to their sources
+// when Reverse, both when Undirected.
+func (rt *runtime) buildTargets() {
+	g := rt.g
+	fwd := !rt.opts.Reverse || rt.opts.Undirected
+	rev := rt.opts.Reverse || rt.opts.Undirected
+	total := 0 // every edge is in exactly one out-list and one in-list
+	if fwd {
+		total += g.NumEdges()
+	}
+	if rev {
+		total += g.NumEdges()
+	}
+	rt.targetOff = make([]int32, g.NumVertices()+1)
+	rt.targets = make([]target, 0, total)
+	for v := 0; v < g.NumVertices(); v++ {
+		if fwd {
+			for _, ei := range g.OutEdges(v) {
+				rt.targets = append(rt.targets, target{edge: ei, dst: int32(g.DstIndex(int(ei)))})
+			}
+		}
+		if rev {
+			for _, ei := range g.InEdges(v) {
+				rt.targets = append(rt.targets, target{edge: ei, dst: int32(g.SrcIndex(int(ei)))})
+			}
+		}
+		rt.targetOff[v+1] = int32(len(rt.targets))
+	}
+}
+
+// targetsOf returns vertex v's scatter targets.
+func (rt *runtime) targetsOf(v int) []target {
+	return rt.targets[rt.targetOff[v]:rt.targetOff[v+1]]
 }
 
 // runtimeSnapshot is the ICM-level state a rollback must restore: cloned
@@ -213,9 +282,20 @@ func (rt *runtime) statsSnapshot() Stats {
 func (rt *runtime) Init(ctx *engine.Context) {
 	i := ctx.Vertex()
 	v := rt.g.VertexAt(i)
-	rt.states[i] = NewPartitionedState(v.Lifespan, nil)
-	vc := VertexCtx{rt: rt, eng: ctx, idx: i, v: v, inInit: true}
-	rt.prog.Init(&vc)
+	// Slots 2i and 2i+1 are capped at one element each, so parts and spare
+	// never share backing; a Set that needs more grows off the slab.
+	st := &rt.stateSlab[i]
+	*st = PartitionedState{
+		lifespan: v.Lifespan,
+		parts:    rt.partSlab[2*i : 2*i+1 : 2*i+1],
+		spare:    rt.partSlab[2*i+1 : 2*i+1 : 2*i+2],
+	}
+	st.parts[0] = warp.IntervalValue{Interval: v.Lifespan}
+	rt.states[i] = st
+	ws := rt.workspace(ctx)
+	vc := &ws.vc
+	*vc = VertexCtx{rt: rt, eng: ctx, idx: i, v: v, inInit: true, updated: vc.updated[:0]}
+	rt.prog.Init(vc)
 	if seed := rt.seedFor(i); seed != nil {
 		if err := overlaySeed(rt.states[i], seed); err != nil {
 			rt.fail(err)
@@ -276,12 +356,13 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 		// frontier messages the prior run sent — messages into already-
 		// converged regions fold to no-ops, messages past the old cut
 		// propagate the extension.
-		if len(rt.targets[i]) == 0 {
+		targets := rt.targetsOf(i)
+		if len(targets) == 0 {
 			return
 		}
 		rt.activeIntervals.Add(int64(st.NumParts()))
 		for _, p := range st.Parts() {
-			rt.scatterPart(vc, ctx, rt.targets[i], p.Interval, p.Value)
+			rt.scatterPart(vc, ctx, targets, p.Interval, p.Value)
 		}
 		return
 	}
@@ -323,14 +404,15 @@ func (rt *runtime) Run(ctx *engine.Context, msgs []engine.Message) {
 	// Scatter step: align updated state partitions with the traversed
 	// edges' property partitions; one scatter call per non-empty
 	// intersection.
-	if len(rt.targets[i]) == 0 {
+	targets := rt.targetsOf(i)
+	if len(targets) == 0 {
 		return
 	}
 	upds := coalesceIntervals(vc.updated)
 	for _, p := range st.Parts() {
 		for _, u := range upds {
 			if x := u.Intersect(p.Interval); !x.IsEmpty() {
-				rt.scatterPart(vc, ctx, rt.targets[i], x, p.Value)
+				rt.scatterPart(vc, ctx, targets, x, p.Value)
 			}
 		}
 	}
@@ -432,12 +514,12 @@ func coalesceIntervals(ivs []ival.Interval) []ival.Interval {
 func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []target, upd ival.Interval, state any) {
 	for _, tg := range targets {
 		e := rt.g.Edge(int(tg.edge))
-		for pi, piece := range rt.edgeParts[tg.edge] {
-			x := rt.edgeMatch[tg.edge][pi].Intersect(upd)
+		for k := rt.pieceOff[tg.edge]; k < rt.pieceOff[tg.edge+1]; k++ {
+			x := rt.match[k].Intersect(upd)
 			if x.IsEmpty() {
 				continue
 			}
-			vc.piece = piece
+			vc.piece = rt.pieces[k]
 			vc.scatterX = x
 			vc.scatterTo = int(tg.dst)
 			vc.inScatter = true

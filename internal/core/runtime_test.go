@@ -159,7 +159,7 @@ func TestEdgePartitionSplitsAtPropertyBounds(t *testing.T) {
 	b.SetEdgeProp(0, "w", ival.New(2, 5), 1)
 	b.SetEdgeProp(0, "w", ival.New(5, 9), 2)
 	g := b.MustBuild()
-	parts := edgePartition(g.Edge(0), nil)
+	parts := newRuntime(g, &floodProgram{}, Options{}).edgePieces(0)
 	want := []ival.Interval{ival.New(0, 2), ival.New(2, 5), ival.New(5, 9), ival.New(9, 10)}
 	if len(parts) != len(want) {
 		t.Fatalf("parts = %v, want %v", parts, want)
@@ -170,7 +170,7 @@ func TestEdgePartitionSplitsAtPropertyBounds(t *testing.T) {
 		}
 	}
 	// Restricting to an absent label keeps the lifespan whole.
-	parts = edgePartition(g.Edge(0), []string{"other"})
+	parts = newRuntime(g, &floodProgram{}, Options{PropLabels: []string{"other"}}).edgePieces(0)
 	if len(parts) != 1 || parts[0] != ival.New(0, 10) {
 		t.Fatalf("filtered parts = %v", parts)
 	}

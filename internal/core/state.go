@@ -111,6 +111,29 @@ func (s *PartitionedState) Clone() *PartitionedState {
 	}
 }
 
+// compactStates copies the final partitions of every state into one exactly
+// sized slab and drops the spare arrays, so a Result, which may sit in a
+// cache, retains one entry per partition instead of the run's grow-only
+// working arrays. Each state's window is capped at its own length, so a
+// later Set reallocates rather than writing into a neighbour's partitions.
+func compactStates(states []*PartitionedState) {
+	n := 0
+	for _, st := range states {
+		if st != nil {
+			n += len(st.parts)
+		}
+	}
+	slab := make([]warp.IntervalValue, n)
+	for _, st := range states {
+		if st == nil {
+			continue
+		}
+		k := copy(slab, st.parts)
+		st.parts, st.spare = slab[:k:k], nil
+		slab = slab[k:]
+	}
+}
+
 // fuse merges adjacent partitions holding equal values.
 func fuse(parts []warp.IntervalValue) []warp.IntervalValue {
 	out := parts[:0]

@@ -113,3 +113,36 @@ func TestPartitionedStateUnbounded(t *testing.T) {
 		t.Fatalf("invariant: %v", err)
 	}
 }
+
+// TestCompactStatesKeepsPartitionsIndependent checks that compacting run
+// states into one slab preserves every partition, and that a later Set on
+// one compacted state grows out of its window instead of overwriting the
+// neighbour packed after it.
+func TestCompactStatesKeepsPartitionsIndependent(t *testing.T) {
+	a := NewPartitionedState(ival.New(0, 10), int64(0))
+	a.Set(ival.New(3, 6), int64(1))
+	b := NewPartitionedState(ival.New(0, 4), int64(2))
+	states := []*PartitionedState{a, nil, b}
+	compactStates(states)
+	if states[1] != nil {
+		t.Fatal("a nil state must stay nil")
+	}
+	if got := a.Parts(); len(got) != 3 || got[1].Value != int64(1) {
+		t.Fatalf("compacted a = %v", got)
+	}
+	if err := a.Set(ival.New(1, 2), int64(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Set(ival.New(7, 8), int64(9)); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Parts(); len(got) != 1 || got[0].Interval != ival.New(0, 4) || got[0].Value != int64(2) {
+		t.Fatalf("Set on a changed its neighbour b: %v", got)
+	}
+	if err := a.Invariant(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := a.Get(7); v != int64(9) {
+		t.Fatalf("a at 7 = %v, want 9", v)
+	}
+}

@@ -14,7 +14,7 @@ import (
 // All buffers are grow-only: after the first few supersteps the align →
 // compute → scatter path of runtime.Run stops allocating. Everything in a
 // workspace is valid only until the worker's next vertex — nothing here may
-// escape a Run call.
+// escape an Init or Run call.
 type workspace struct {
 	scratch warp.Scratch         // time-warp merge buffers and group arena
 	inner   []warp.IntervalValue // lifespan-clipped incoming messages

@@ -500,7 +500,12 @@ func ReadLog(r io.Reader, acc *Accumulator) error {
 			return fmt.Errorf("stream: line %d: %w", lineNo, err)
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		// The scanner stopped inside the line after the last one returned
+		// (bufio.ErrTooLong for an over-long record, or a read error).
+		return fmt.Errorf("stream: line %d: %w", lineNo+1, err)
+	}
+	return nil
 }
 
 // ParseEvent parses one text event-log line into an Event (see ReadLog for

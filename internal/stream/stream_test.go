@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"errors"
 	"strings"
 	"testing"
@@ -162,6 +163,17 @@ func TestReadLogErrorsCarryLineNumber(t *testing.T) {
 	}
 	if !errors.Is(err, ErrStillOpen) {
 		t.Fatalf("want wrapped ErrStillOpen, got %v", err)
+	}
+}
+
+func TestReadLogTooLongLineCarriesLineNumber(t *testing.T) {
+	log := "av 0 1\nvp 1 1 " + strings.Repeat("x", bufio.MaxScanTokenSize) + " 2\n"
+	err := ReadLog(strings.NewReader(log), NewAccumulator())
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("want wrapped bufio.ErrTooLong, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "stream: line 2:") {
+		t.Fatalf("want error naming line 2, got %v", err)
 	}
 }
 
