@@ -21,13 +21,14 @@ test:
 race:
 	$(GO) test -race ./internal/core/... ./internal/engine/... ./internal/chaos/... ./internal/cluster/... ./internal/obs/... ./internal/serve/... ./internal/warp/... ./internal/algorithms/... ./internal/live/... ./internal/stream/... ./internal/tgraph/...
 
-# Fuzz smoke: every fuzz target in the codec, state, warp, graph-format,
-# graph-slicing and event-log layers for FUZZTIME each (Go allows one -fuzz target per invocation).
+# Fuzz smoke: every fuzz target in the codec, message-batch, state, warp,
+# graph-format, graph-slicing and event-log layers for FUZZTIME each (Go allows one -fuzz target per invocation).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntervalDecode -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzInt64SliceDecode -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -run '^$$' -fuzz FuzzIntervalAppendDecode -fuzztime $(FUZZTIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzStateSet -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzWarp -fuzztime $(FUZZTIME) ./internal/warp
 	$(GO) test -run '^$$' -fuzz FuzzFormatRoundTrip -fuzztime $(FUZZTIME) ./internal/tgraph

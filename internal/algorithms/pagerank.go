@@ -1,6 +1,9 @@
 package algorithms
 
 import (
+	"math"
+	"sort"
+
 	"graphite/internal/codec"
 	"graphite/internal/core"
 	ival "graphite/internal/interval"
@@ -22,6 +25,19 @@ type PageRank struct {
 	Damping    float64 // typically 0.85
 
 	degrees degreeTable // per vertex: out-degree per interval
+
+	// shares[k] caches the boxed rank share sent over degree-table slot k,
+	// so a vertex boxes rank/degree once per superstep and degree piece
+	// rather than once per target. Only the worker executing a vertex
+	// touches that vertex's slots.
+	shares []rankShare
+}
+
+// rankShare is one cached rank/degree message payload, valid while the
+// sender's rank has the bits it was computed from.
+type rankShare struct {
+	rank  uint64 // math.Float64bits of the rank
+	share any    // nil until first computed
 }
 
 // NewPageRank precomputes the per-vertex temporal out-degree partition.
@@ -34,6 +50,7 @@ func NewPageRank(g *tgraph.Graph, iterations int, damping float64) *PageRank {
 		a.Damping = 0.85
 	}
 	a.degrees = newDegreeTable(g)
+	a.shares = make([]rankShare, len(a.degrees.parts))
 	return a
 }
 
@@ -58,19 +75,28 @@ func (a *PageRank) Compute(v *core.VertexCtx, t ival.Interval, state any, msgs [
 }
 
 // Scatter divides the rank by the out-degree, piecewise over the degree
-// partition so each message interval has a constant divisor. After the last
-// rank update nothing is sent.
+// partition so each message interval has a constant divisor. The degree
+// pieces tile the lifespan in time order, so a binary search finds the
+// first one t overlaps and the walk stops at the first past t. After the
+// last rank update nothing is sent.
 func (a *PageRank) Scatter(v *core.VertexCtx, e *tgraph.Edge, t ival.Interval, state any) []core.OutMsg {
 	if v.Superstep() > a.Iterations {
 		return nil
 	}
 	rank := state.(float64)
-	for _, dp := range a.degrees.of(v.Index()) {
-		x := dp.Interval.Intersect(t)
-		if x.IsEmpty() || dp.Value == 0 {
+	bits := math.Float64bits(rank)
+	off, degs := int(a.degrees.off[v.Index()]), a.degrees.of(v.Index())
+	k := sort.Search(len(degs), func(k int) bool { return degs[k].Interval.End > t.Start })
+	for ; k < len(degs) && degs[k].Interval.Start < t.End; k++ {
+		dp := degs[k]
+		if dp.Value == 0 {
 			continue
 		}
-		v.Emit(x, rank/float64(dp.Value))
+		sh := &a.shares[off+k]
+		if sh.share == nil || sh.rank != bits {
+			*sh = rankShare{rank: bits, share: rank / float64(dp.Value)}
+		}
+		v.Emit(dp.Interval.Intersect(t), sh.share)
 	}
 	return nil
 }

@@ -174,16 +174,17 @@ func (m *mesh) dialPeers(ctx context.Context, epoch int, addrs []string, attempt
 	return nil
 }
 
-// send ships one fData payload directly to dst. On failure the connection
-// is dropped (the peer is dead or the mesh is torn); the caller falls back
-// to the coordinator relay for this batch and the next epoch re-dials.
-func (m *mesh) send(dst int, payload []byte) error {
+// send writes one sealed fData frame directly to dst, synchronously. On
+// failure the connection is dropped (the peer is dead or the mesh is torn);
+// the caller falls back to the coordinator relay for this batch and the
+// next epoch re-dials.
+func (m *mesh) send(dst int, frame []byte) error {
 	if dst < 0 || dst >= len(m.outs) || m.outs[dst] == nil {
 		return fmt.Errorf("cluster: no mesh connection to shard %d", dst)
 	}
 	c := m.outs[dst]
 	c.SetWriteDeadline(time.Now().Add(meshWriteDeadline))
-	if err := writeConnFrame(c, fData, payload); err != nil {
+	if _, err := c.Write(frame); err != nil {
 		c.Close()
 		m.outs[dst] = nil
 		return fmt.Errorf("cluster: mesh send to shard %d: %w", dst, err)

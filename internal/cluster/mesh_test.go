@@ -12,6 +12,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"graphite/internal/codec"
 )
 
 func newTestMesh(t *testing.T, self int) *mesh {
@@ -50,7 +52,7 @@ func TestMeshSendAndReconnect(t *testing.T) {
 
 	// Both directions deliver, in send order.
 	for i, payload := range [][]byte{[]byte("batch-1"), []byte("batch-2")} {
-		if err := a.send(1, payload); err != nil {
+		if err := a.send(1, dataFrame(payload)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -60,7 +62,7 @@ func TestMeshSendAndReconnect(t *testing.T) {
 	if got := recvPayload(t, b); !bytes.Equal(got, []byte("batch-2")) {
 		t.Fatalf("second delivery = %q", got)
 	}
-	if err := b.send(0, []byte("reply")); err != nil {
+	if err := b.send(0, dataFrame([]byte("reply"))); err != nil {
 		t.Fatal(err)
 	}
 	if got := recvPayload(t, a); !bytes.Equal(got, []byte("reply")) {
@@ -68,10 +70,10 @@ func TestMeshSendAndReconnect(t *testing.T) {
 	}
 
 	// Self and out-of-range destinations are refused, not wedged.
-	if err := a.send(0, []byte("self")); err == nil {
+	if err := a.send(0, dataFrame([]byte("self"))); err == nil {
 		t.Error("send to self accepted")
 	}
-	if err := a.send(9, []byte("beyond")); err == nil {
+	if err := a.send(9, dataFrame([]byte("beyond"))); err == nil {
 		t.Error("send beyond the fleet accepted")
 	}
 
@@ -81,7 +83,7 @@ func TestMeshSendAndReconnect(t *testing.T) {
 	b.close()
 	var sendErr error
 	for i := 0; i < 50 && sendErr == nil; i++ {
-		sendErr = a.send(1, []byte("into the void"))
+		sendErr = a.send(1, dataFrame([]byte("into the void")))
 		time.Sleep(2 * time.Millisecond) // kernel may buffer the first writes
 	}
 	if sendErr == nil {
@@ -99,7 +101,7 @@ func TestMeshSendAndReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, payload := range [][]byte{[]byte("epoch1-a"), []byte("epoch1-b")} {
-		if err := a.send(1, payload); err != nil {
+		if err := a.send(1, dataFrame(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,10 +154,19 @@ func TestMeshRejectsGarbageConnection(t *testing.T) {
 	_, _ = c.Write([]byte("NOT A FRAME"))
 	c.Close()
 	// The honest peer's traffic still flows.
-	if err := peer.send(0, []byte("still alive")); err != nil {
+	if err := peer.send(0, dataFrame([]byte("still alive"))); err != nil {
 		t.Fatal(err)
 	}
 	if got := recvPayload(t, m); !bytes.Equal(got, []byte("still alive")) {
 		t.Fatalf("delivery after garbage connection = %q", got)
 	}
+}
+
+// dataFrame seals payload as the fData frame mesh.send writes.
+func dataFrame(payload []byte) []byte {
+	frame, err := codec.FinishFrame(append(codec.BeginFrame(nil, fData), payload...), 0)
+	if err != nil {
+		panic(err)
+	}
+	return frame
 }

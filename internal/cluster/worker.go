@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"graphite/internal/algorithms"
+	"graphite/internal/codec"
 	"graphite/internal/core"
 	"graphite/internal/engine"
 	"graphite/internal/obs"
@@ -132,6 +133,7 @@ type wrk struct {
 
 	mesh    *mesh              // nil when the worker runs relay-only
 	pending map[pendKey][]byte // early mesh batches for unopened supersteps
+	ship    []byte             // the outbound data frame, reused per peer and superstep
 
 	hbStop chan struct{}
 	hbOnce sync.Once
@@ -461,10 +463,6 @@ func (w *wrk) handleStep(payload []byte) error {
 	if err := w.sh.Compute(); err != nil {
 		return w.fail(err)
 	}
-	outs, err := w.sh.Outbound()
-	if err != nil {
-		return w.fail(err)
-	}
 	direct := st.Direct && w.mesh != nil
 	var peerSendNS, directBytes, relayedBytes int64
 	sent := 0
@@ -472,15 +470,28 @@ func (w *wrk) handleStep(payload []byte) error {
 		if dst == w.self {
 			continue
 		}
-		p := appendDataHeader(nil, dataHeader{epoch: w.epoch, superstep: st.Superstep, src: w.self, dst: dst})
-		p = append(p, outs[dst]...)
+		// One frame — header, routing header, batch, CRC — built in the
+		// buffer every peer and superstep reuses. Both planes write it
+		// synchronously, so it is free again when the write returns.
+		frame := codec.BeginFrame(w.ship[:0], fData)
+		body := len(frame)
+		frame = appendDataHeader(frame, dataHeader{epoch: w.epoch, superstep: st.Superstep, src: w.self, dst: dst})
+		frame, err := w.sh.AppendOutbound(frame, dst)
+		if err != nil {
+			return w.fail(err)
+		}
+		n := int64(len(frame) - body) // the fData payload: routing header + batch
+		if frame, err = codec.FinishFrame(frame, 0); err != nil {
+			return w.fail(err)
+		}
+		w.ship = frame
 		shippedDirect := false
 		if direct {
 			t0 := time.Now()
-			err := w.mesh.send(dst, p)
+			err := w.mesh.send(dst, frame)
 			peerSendNS += time.Since(t0).Nanoseconds()
 			if err == nil {
-				directBytes += int64(len(p))
+				directBytes += n
 				shippedDirect = true
 			} else {
 				// Per-batch fallback: the receiver counts batches from either
@@ -491,10 +502,10 @@ func (w *wrk) handleStep(payload []byte) error {
 			}
 		}
 		if !shippedDirect {
-			if err := w.sendFrame(fData, p); err != nil {
+			if err := w.writeFrame(frame); err != nil {
 				return err
 			}
-			relayedBytes += int64(len(p))
+			relayedBytes += n
 		}
 		sent++
 		if sent == 1 {
@@ -734,12 +745,20 @@ func (w *wrk) handleCollect(payload []byte) error {
 	return w.sendFrame(fResult, append(p, blob...))
 }
 
-// sendFrame / sendJSON serialize writes across the main loop and the
-// heartbeat goroutine.
+// sendFrame / writeFrame / sendJSON serialize writes across the main loop
+// and the heartbeat goroutine.
 func (w *wrk) sendFrame(ftype byte, payload []byte) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	return writeConnFrame(w.conn, ftype, payload)
+}
+
+// writeFrame writes one frame already sealed by codec.FinishFrame.
+func (w *wrk) writeFrame(frame []byte) error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	_, err := w.conn.Write(frame)
+	return err
 }
 
 func (w *wrk) sendJSON(ftype byte, v any) error {

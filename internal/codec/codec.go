@@ -25,54 +25,82 @@ const (
 // ErrCorrupt is returned when a buffer cannot be decoded.
 var ErrCorrupt = errors.New("codec: corrupt buffer")
 
-// AppendInterval appends the variable-length encoding of iv to buf.
-func AppendInterval(buf []byte, iv ival.Interval) []byte {
+// intervalFlag is the header AppendInterval writes for iv.
+func intervalFlag(iv ival.Interval) byte {
 	switch {
 	case iv.IsEmpty():
-		return append(buf, flagEmpty)
+		return flagEmpty
 	case iv.IsUnit():
-		buf = append(buf, flagUnit)
-		return binary.AppendUvarint(buf, uint64(iv.Start))
+		return flagUnit
 	case iv.IsUnbounded():
-		buf = append(buf, flagUnbounded)
-		return binary.AppendUvarint(buf, uint64(iv.Start))
-	default:
-		buf = append(buf, 0)
-		buf = binary.AppendUvarint(buf, uint64(iv.Start))
-		// Length, not end: deltas are small for typical intervals.
-		return binary.AppendUvarint(buf, uint64(iv.End-iv.Start))
+		return flagUnbounded
 	}
+	return 0
+}
+
+// AppendInterval appends the variable-length encoding of iv to buf.
+func AppendInterval(buf []byte, iv ival.Interval) []byte {
+	f := intervalFlag(iv)
+	buf = append(buf, f)
+	switch f {
+	case flagEmpty:
+		return buf
+	case flagUnit, flagUnbounded:
+		return binary.AppendUvarint(buf, uint64(iv.Start))
+	}
+	buf = binary.AppendUvarint(buf, uint64(iv.Start))
+	// Length, not end: deltas are small for typical intervals.
+	return binary.AppendUvarint(buf, uint64(iv.End-iv.Start))
 }
 
 // Interval decodes an interval from buf, returning it and the bytes consumed.
+// It accepts only the encoding AppendInterval writes — one known header,
+// minimal varints, and the header AppendInterval would pick for the decoded
+// interval — so every accepted encoding re-encodes to the same bytes.
 func Interval(buf []byte) (ival.Interval, int, error) {
 	if len(buf) == 0 {
 		return ival.Empty, 0, ErrCorrupt
 	}
 	flags := buf[0]
 	n := 1
-	if flags&flagEmpty != 0 {
+	switch flags {
+	case flagEmpty:
 		return ival.Empty, n, nil
+	case 0, flagUnit, flagUnbounded:
+	default:
+		return ival.Empty, 0, ErrCorrupt
 	}
 	start, k := binary.Uvarint(buf[n:])
-	if k <= 0 {
+	if !MinimalVarint(buf[n:], k) {
 		return ival.Empty, 0, ErrCorrupt
 	}
 	n += k
-	switch {
-	case flags&flagUnit != 0:
-		return ival.Point(int64(start)), n, nil
-	case flags&flagUnbounded != 0:
-		return ival.From(int64(start)), n, nil
+	var iv ival.Interval
+	switch flags {
+	case flagUnit:
+		iv = ival.Point(int64(start))
+	case flagUnbounded:
+		iv = ival.From(int64(start))
 	default:
 		length, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
+		if !MinimalVarint(buf[n:], k) {
 			return ival.Empty, 0, ErrCorrupt
 		}
 		n += k
-		return ival.New(int64(start), int64(start)+int64(length)), n, nil
+		iv = ival.New(int64(start), int64(start)+int64(length))
 	}
+	if intervalFlag(iv) != flags {
+		return ival.Empty, 0, ErrCorrupt
+	}
+	return iv, n, nil
 }
+
+// MinimalVarint reports whether the k bytes binary.Uvarint or binary.Varint
+// just read from buf are the minimal encoding the Append functions write:
+// false for a failed read (k <= 0) and for an overlong one, whose last byte
+// is zero. Decoders that accept only minimal varints re-encode every input
+// they accept to the same bytes.
+func MinimalVarint(buf []byte, k int) bool { return k == 1 || k > 1 && buf[k-1] != 0 }
 
 // IntervalSize returns the encoded size of iv without allocating.
 func IntervalSize(iv ival.Interval) int {
@@ -120,7 +148,7 @@ func (Int64) Append(buf []byte, v any) []byte {
 // Decode implements Payload.
 func (Int64) Decode(buf []byte) (any, int, error) {
 	v, n := binary.Varint(buf)
-	if n <= 0 {
+	if !MinimalVarint(buf, n) {
 		return nil, 0, ErrCorrupt
 	}
 	return v, n, nil
@@ -143,11 +171,11 @@ func (PairCodec) Append(buf []byte, v any) []byte {
 // Decode implements Payload.
 func (PairCodec) Decode(buf []byte) (any, int, error) {
 	a, n := binary.Varint(buf)
-	if n <= 0 {
+	if !MinimalVarint(buf, n) {
 		return nil, 0, ErrCorrupt
 	}
 	b, k := binary.Varint(buf[n:])
-	if k <= 0 {
+	if !MinimalVarint(buf[n:], k) {
 		return nil, 0, ErrCorrupt
 	}
 	return Int64Pair{A: a, B: b}, n + k, nil
@@ -171,7 +199,7 @@ func (Int64Slice) Append(buf []byte, v any) []byte {
 func (Int64Slice) Decode(buf []byte) (any, int, error) {
 	n := 0
 	l, k := binary.Uvarint(buf)
-	if k <= 0 {
+	if !MinimalVarint(buf, k) {
 		return nil, 0, ErrCorrupt
 	}
 	n += k
@@ -181,7 +209,7 @@ func (Int64Slice) Decode(buf []byte) (any, int, error) {
 	s := make([]int64, l)
 	for i := range s {
 		v, k := binary.Varint(buf[n:])
-		if k <= 0 {
+		if !MinimalVarint(buf[n:], k) {
 			return nil, 0, ErrCorrupt
 		}
 		s[i] = v

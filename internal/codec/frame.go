@@ -28,20 +28,36 @@ const MaxFrameSize = 1 << 30
 // codec's corruption sentinel keep working.
 var ErrFrameCorrupt = fmt.Errorf("%w: frame", ErrCorrupt)
 
+// BeginFrame appends the head of a frame of type ftype to buf: a length
+// placeholder and the type byte. Append the payload after it, then seal the
+// frame with FinishFrame, so a frame is built in place in one reusable
+// buffer.
+func BeginFrame(buf []byte, ftype byte) []byte {
+	return append(buf, 0, 0, 0, 0, ftype)
+}
+
+// FinishFrame seals the frame BeginFrame opened at buf[start:], whose
+// payload runs to the end of buf: it fills in the length and appends the
+// CRC. A payload past MaxFrameSize is an error.
+func FinishFrame(buf []byte, start int) ([]byte, error) {
+	n := len(buf) - start - 4 // type byte + payload
+	if n > MaxFrameSize {
+		return buf, fmt.Errorf("codec: frame payload %d bytes exceeds limit", n-1)
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(n))
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start+4:])), nil
+}
+
 // WriteFrame writes one frame. The payload may be nil (a bare signal
 // frame). The write is a single Write call so concurrent writers
 // serialized by a mutex never interleave partial frames.
 func WriteFrame(w io.Writer, ftype byte, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return fmt.Errorf("codec: frame payload %d bytes exceeds limit", len(payload))
+	buf := append(BeginFrame(make([]byte, 0, 4+1+len(payload)+4), ftype), payload...)
+	buf, err := FinishFrame(buf, 0)
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, 0, 4+1+len(payload)+4)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(payload)))
-	buf = append(buf, ftype)
-	buf = append(buf, payload...)
-	crc := crc32.ChecksumIEEE(buf[4:])
-	buf = binary.BigEndian.AppendUint32(buf, crc)
-	_, err := w.Write(buf)
+	_, err = w.Write(buf)
 	return err
 }
 

@@ -66,3 +66,50 @@ func TestFrameBadLength(t *testing.T) {
 		t.Fatalf("oversized-length err = %v, want ErrFrameCorrupt", err)
 	}
 }
+
+// TestFrameBuilderInPlace builds frames with BeginFrame/FinishFrame behind
+// unrelated bytes in one reused buffer and requires each to read back like
+// a WriteFrame frame.
+func TestFrameBuilderInPlace(t *testing.T) {
+	buf := []byte("prefix")
+	for i, p := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("abc"), 1000)} {
+		start := len(buf)
+		buf = append(BeginFrame(buf, byte(i+1)), p...)
+		var err error
+		if buf, err = FinishFrame(buf, start); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := WriteFrame(&want, byte(i+1), p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[start:], want.Bytes()) {
+			t.Fatalf("frame %d: built %x, WriteFrame wrote %x", i, buf[start:], want.Bytes())
+		}
+		ft, got, err := ReadFrame(bytes.NewReader(buf[start:]))
+		if err != nil || ft != byte(i+1) || !bytes.Equal(got, p) {
+			t.Fatalf("frame %d: read back type %d, %d bytes, err %v", i, ft, len(got), err)
+		}
+		buf = buf[:start]
+	}
+}
+
+// BenchmarkFrameRoundTrip builds a 64 KiB data frame in place in a reused
+// buffer, as the cluster's ship path does, and reads it back with ReadFrame.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	payload := bytes.Repeat([]byte{0x5a}, 64<<10)
+	var buf []byte
+	var r bytes.Reader
+	b.ReportAllocs()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = FinishFrame(append(BeginFrame(buf[:0], 7), payload...), 0); err != nil {
+			b.Fatal(err)
+		}
+		r.Reset(buf)
+		if _, _, err := ReadFrame(&r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -63,7 +63,7 @@ func (c *VertexCtx) StateAt(t ival.Time) (any, bool) { return c.State().Get(t) }
 // run.
 func (c *VertexCtx) SetState(iv ival.Interval, value any) error {
 	if c.inScatter {
-		// Scatter aligns the partitions being iterated; a Set would recycle
+		// Scatter aligns the partitions being iterated; a Set would splice
 		// the backing array mid-iteration (see PartitionedState.Parts).
 		err := fmt.Errorf("core: vertex %d called SetState during Scatter", c.v.ID)
 		c.rt.fail(err)

@@ -39,7 +39,7 @@ type runtime struct {
 	targets   []target
 
 	// stateSlab backs every vertex's PartitionedState and partSlab its
-	// initial parts/spare arrays: slots 2v and 2v+1, one element each.
+	// initial one-partition array, slot v.
 	stateSlab []PartitionedState
 	partSlab  []warp.IntervalValue
 
@@ -81,7 +81,7 @@ func newRuntime(g *tgraph.Graph, prog Program, opts Options) *runtime {
 		opts:      opts,
 		states:    make([]*PartitionedState, n),
 		stateSlab: make([]PartitionedState, n),
-		partSlab:  make([]warp.IntervalValue, 2*n),
+		partSlab:  make([]warp.IntervalValue, n),
 		threshold: opts.SuppressionThreshold,
 	}
 	if rt.threshold <= 0 {
@@ -282,14 +282,10 @@ func (rt *runtime) statsSnapshot() Stats {
 func (rt *runtime) Init(ctx *engine.Context) {
 	i := ctx.Vertex()
 	v := rt.g.VertexAt(i)
-	// Slots 2i and 2i+1 are capped at one element each, so parts and spare
-	// never share backing; a Set that needs more grows off the slab.
+	// Slot i is capped at one element, so a Set that splits the state grows
+	// off the slab instead of into a neighbour's slot.
 	st := &rt.stateSlab[i]
-	*st = PartitionedState{
-		lifespan: v.Lifespan,
-		parts:    rt.partSlab[2*i : 2*i+1 : 2*i+1],
-		spare:    rt.partSlab[2*i+1 : 2*i+1 : 2*i+2],
-	}
+	*st = PartitionedState{lifespan: v.Lifespan, parts: rt.partSlab[i : i+1 : i+1]}
 	st.parts[0] = warp.IntervalValue{Interval: v.Lifespan}
 	rt.states[i] = st
 	ws := rt.workspace(ctx)
@@ -510,11 +506,20 @@ func coalesceIntervals(ivs []ival.Interval) []ival.Interval {
 }
 
 // scatterPart invokes Scatter for one updated 〈interval, state〉 against
-// every overlapping edge property piece.
+// every overlapping edge property piece. Without ScatterSlackLabel an edge's
+// pieces tile its lifespan in time order, so an edge whose first piece
+// starts after upd or whose last piece ends before it is skipped without
+// probing its pieces; with slack the translated pieces need not be ordered,
+// and every piece is probed.
 func (rt *runtime) scatterPart(vc *VertexCtx, ctx *engine.Context, targets []target, upd ival.Interval, state any) {
+	tiled := rt.opts.ScatterSlackLabel == ""
 	for _, tg := range targets {
+		lo, hi := rt.pieceOff[tg.edge], rt.pieceOff[tg.edge+1]
+		if tiled && (lo == hi || rt.pieces[lo].Start >= upd.End || rt.pieces[hi-1].End <= upd.Start) {
+			continue
+		}
 		e := rt.g.Edge(int(tg.edge))
-		for k := rt.pieceOff[tg.edge]; k < rt.pieceOff[tg.edge+1]; k++ {
+		for k := lo; k < hi; k++ {
 			x := rt.match[k].Intersect(upd)
 			if x.IsEmpty() {
 				continue

@@ -100,8 +100,11 @@ func (s *Shard) Compute() error {
 	return s.rt.err
 }
 
-// Outbound drains the encoded cross-shard batches (nil at own index).
-func (s *Shard) Outbound() ([][]byte, error) { return s.sh.Outbound() }
+// AppendOutbound drains the batch for peer shard dst and appends it to buf
+// (see engine.Shard.AppendOutbound).
+func (s *Shard) AppendOutbound(buf []byte, dst int) ([]byte, error) {
+	return s.sh.AppendOutbound(buf, dst)
+}
 
 // Deliver runs the receive phase; peer batches must arrive in ascending
 // source-shard order (see engine.Shard.Deliver).

@@ -1,7 +1,7 @@
 package core_test
 
 // In-process proof of the cluster execution model: driving core.Shards by
-// hand through the Compute → Outbound → Deliver → Barrier protocol must
+// hand through the Compute → AppendOutbound → Deliver → Barrier protocol must
 // reproduce a single-process transported run bit for bit (same delivery
 // order: own outbox first, then peers ascending), and a durable capture +
 // restore into FRESH shards must replay to the identical final state —
@@ -73,9 +73,15 @@ func driveShards(t *testing.T, shards []*core.Shard, opts core.Options, captureA
 			if err := s.Compute(); err != nil {
 				t.Fatalf("superstep %d shard %d compute: %v", step, i, err)
 			}
-			var err error
-			if outs[i], err = s.Outbound(); err != nil {
-				t.Fatalf("superstep %d shard %d outbound: %v", step, i, err)
+			outs[i] = make([][]byte, n)
+			for d := range shards {
+				if d == i {
+					continue
+				}
+				var err error
+				if outs[i][d], err = s.AppendOutbound(nil, d); err != nil {
+					t.Fatalf("superstep %d shard %d outbound to %d: %v", step, i, d, err)
+				}
 			}
 		}
 		for d, s := range shards {

@@ -11,6 +11,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 
 	ival "graphite/internal/interval"
 	"graphite/internal/warp"
@@ -29,12 +31,6 @@ var ErrStateOutOfRange = errors.New("core: state update outside the active inter
 type PartitionedState struct {
 	lifespan ival.Interval
 	parts    []warp.IntervalValue
-	// spare is the partition array the last Set retired; the next Set builds
-	// into it, so repartitioning ping-pongs between two arrays and stops
-	// allocating once both have grown to the working size. Invariant: parts
-	// and spare never share backing (Clone resets spare, so checkpointed
-	// copies are independent).
-	spare []warp.IntervalValue
 }
 
 // NewPartitionedState returns a state covering lifespan with a single
@@ -51,7 +47,7 @@ func (s *PartitionedState) Lifespan() ival.Interval { return s.lifespan }
 
 // Parts returns the current partitions in time order. The slice is owned by
 // the state and must not be modified; it is valid only until the next Set,
-// which recycles the backing array.
+// which splices the backing array in place.
 func (s *PartitionedState) Parts() []warp.IntervalValue { return s.parts }
 
 // NumParts returns the number of partitions.
@@ -69,6 +65,15 @@ func (s *PartitionedState) Get(t ival.Time) (any, bool) {
 
 // Set updates the state for iv to value, splitting and re-fusing partitions
 // as needed. iv must lie within the lifespan.
+//
+// The update is a splice: a binary search finds the run of partitions iv
+// overlaps, and that run is replaced in place by at most three pieces — the
+// left remainder, the new value, the right remainder. The partitions were
+// maximally fused before the update, so only the two seams the new value
+// creates can fuse; each keeps its left partition's value, which decides
+// which of two equal values (+0 and -0, say) survives. A Set therefore costs
+// O(log P) comparisons, a walk over the run, and one shift of the
+// partitions after it.
 func (s *PartitionedState) Set(iv ival.Interval, value any) error {
 	if iv.IsEmpty() {
 		return fmt.Errorf("%w: empty interval", ErrStateOutOfRange)
@@ -76,27 +81,49 @@ func (s *PartitionedState) Set(iv ival.Interval, value any) error {
 	if !s.lifespan.ContainsInterval(iv) {
 		return fmt.Errorf("%w: %v outside lifespan %v", ErrStateOutOfRange, iv, s.lifespan)
 	}
-	out := s.spare[:0]
-	inserted := false
-	for _, p := range s.parts {
-		x := p.Interval.Intersect(iv)
-		if x.IsEmpty() {
-			out = append(out, p)
-			continue
-		}
-		if p.Interval.Start < x.Start {
-			out = append(out, warp.IntervalValue{Interval: ival.New(p.Interval.Start, x.Start), Value: p.Value})
-		}
-		if !inserted {
-			out = append(out, warp.IntervalValue{Interval: iv, Value: value})
-			inserted = true
-		}
-		if x.End < p.Interval.End {
-			out = append(out, warp.IntervalValue{Interval: ival.New(x.End, p.Interval.End), Value: p.Value})
-		}
+	parts := s.parts
+	// parts[i:j] is the run iv overlaps: from the first partition ending
+	// after iv starts to the last starting before iv ends.
+	i := sort.Search(len(parts), func(k int) bool { return parts[k].Interval.End > iv.Start })
+	j := i + 1
+	for j < len(parts) && parts[j].Interval.Start < iv.End {
+		j++
 	}
-	s.spare = s.parts[:0]
-	s.parts = fuse(out)
+
+	// Build the replacement for parts[lo:hi], widening the range over a
+	// neighbour the new value fuses with.
+	lo, hi := i, j
+	first, last := parts[i], parts[j-1]
+	var buf [3]warp.IntervalValue
+	repl := buf[:0]
+	mid := warp.IntervalValue{Interval: iv, Value: value}
+	switch {
+	case first.Interval.Start < iv.Start:
+		if warp.ValueEqual(first.Value, value) {
+			mid = warp.IntervalValue{Interval: ival.New(first.Interval.Start, iv.End), Value: first.Value}
+		} else {
+			repl = append(repl, warp.IntervalValue{Interval: ival.New(first.Interval.Start, iv.Start), Value: first.Value})
+		}
+	case i > 0 && warp.ValueEqual(parts[i-1].Value, value):
+		lo = i - 1
+		mid = warp.IntervalValue{Interval: ival.New(parts[lo].Interval.Start, iv.End), Value: parts[lo].Value}
+	}
+	switch {
+	case iv.End < last.Interval.End:
+		if warp.ValueEqual(mid.Value, last.Value) {
+			mid.Interval.End = last.Interval.End
+			repl = append(repl, mid)
+		} else {
+			repl = append(repl, mid, warp.IntervalValue{Interval: ival.New(iv.End, last.Interval.End), Value: last.Value})
+		}
+	case j < len(parts) && warp.ValueEqual(mid.Value, parts[j].Value):
+		mid.Interval.End = parts[j].Interval.End
+		hi = j + 1
+		repl = append(repl, mid)
+	default:
+		repl = append(repl, mid)
+	}
+	s.parts = slices.Replace(parts, lo, hi, repl...)
 	return nil
 }
 
@@ -112,10 +139,10 @@ func (s *PartitionedState) Clone() *PartitionedState {
 }
 
 // compactStates copies the final partitions of every state into one exactly
-// sized slab and drops the spare arrays, so a Result, which may sit in a
-// cache, retains one entry per partition instead of the run's grow-only
-// working arrays. Each state's window is capped at its own length, so a
-// later Set reallocates rather than writing into a neighbour's partitions.
+// sized slab, so a Result, which may sit in a cache, retains one entry per
+// partition instead of the run's grow-only working arrays. Each state's
+// window is capped at its own length, so a later Set reallocates rather than
+// writing into a neighbour's partitions.
 func compactStates(states []*PartitionedState) {
 	n := 0
 	for _, st := range states {
@@ -129,23 +156,9 @@ func compactStates(states []*PartitionedState) {
 			continue
 		}
 		k := copy(slab, st.parts)
-		st.parts, st.spare = slab[:k:k], nil
+		st.parts = slab[:k:k]
 		slab = slab[k:]
 	}
-}
-
-// fuse merges adjacent partitions holding equal values.
-func fuse(parts []warp.IntervalValue) []warp.IntervalValue {
-	out := parts[:0]
-	for _, p := range parts {
-		if n := len(out); n > 0 && out[n-1].Interval.Meets(p.Interval) &&
-			warp.ValueEqual(out[n-1].Value, p.Value) {
-			out[n-1].Interval.End = p.Interval.End
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // Invariant verifies the partitioned-state contract: sorted, adjacent,

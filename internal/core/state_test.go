@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -144,5 +145,33 @@ func TestCompactStatesKeepsPartitionsIndependent(t *testing.T) {
 	}
 	if v, _ := a.Get(7); v != int64(9) {
 		t.Fatalf("a at 7 = %v, want 9", v)
+	}
+}
+
+// BenchmarkStateSet measures one PageRank-shaped superstep of one vertex:
+// a state of P partitions rewritten point by point in time order, each
+// update a new value, so the partition count stays P.
+func BenchmarkStateSet(b *testing.B) {
+	for _, p := range []int{24, 256} {
+		b.Run(fmt.Sprintf("parts=%d", p), func(b *testing.B) {
+			var vals [2][]any
+			for k := range vals {
+				for t := 0; t < p; t++ {
+					vals[k] = append(vals[k], float64(k*p+t))
+				}
+			}
+			s := NewPartitionedState(ival.New(0, ival.Time(p)), 0.0)
+			for t := 0; t < p; t++ {
+				s.Set(ival.Point(ival.Time(t)), vals[1][t])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := vals[i%2]
+				for t := 0; t < p; t++ {
+					s.Set(ival.Point(ival.Time(t)), v[t])
+				}
+			}
+		})
 	}
 }

@@ -751,7 +751,7 @@ func (e *Engine) exchangeTransport() int64 {
 			return
 		}
 		for _, b := range batches {
-			msgs, err := decodeBatchInto(dst.decode[:0], b, e.cfg.PayloadCodec)
+			msgs, err := decodeBatchInto(dst.decode[:0], b, e.numV, e.cfg.PayloadCodec)
 			dst.decode = msgs[:0]
 			if err != nil {
 				e.fail(err)

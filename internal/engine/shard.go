@@ -16,12 +16,12 @@ import (
 // routing entries only; their state lives in the processes that own them.
 //
 // The cluster coordinator drives the BSP loop from outside: Compute →
-// Outbound (encoded batches for the wire) → Deliver (batches received from
-// peers) → Barrier, one call set per superstep per shard. Delivery order
-// matches the in-process transported exchange exactly — own outbox first,
-// then peer batches in ascending shard order — so a cluster run is
-// bit-identical to a single-process run over the same configuration, which
-// is what the kill-recovery chaos tests assert.
+// AppendOutbound (one encoded batch per peer, for the wire) → Deliver
+// (batches received from peers) → Barrier, one call set per superstep per
+// shard. Delivery order matches the in-process transported exchange
+// exactly — own outbox first, then peer batches in ascending shard order —
+// so a cluster run is bit-identical to a single-process run over the same
+// configuration, which is what the kill-recovery chaos tests assert.
 
 // SnapshotCodec is the Program extension the durable checkpoint path
 // requires on top of Snapshotter: the opaque snapshot must serialize, since
@@ -155,26 +155,22 @@ func (s *Shard) Compute() error {
 	return e.takeErr()
 }
 
-// Outbound drains and encodes the cross-shard outboxes: one batch per
-// destination shard (possibly empty — peers expect exactly one frame from
-// every other shard per superstep), nil at this shard's own index. The
-// self-addressed outbox is retained for Deliver. Batches are freshly
-// allocated: they are handed to the wire asynchronously, so the pooled-slab
-// discipline of the in-process hot path does not apply.
-func (s *Shard) Outbound() ([][]byte, error) {
+// AppendOutbound drains the outbox for peer shard dst and appends it to buf
+// as one encoded batch — possibly empty, since peers expect exactly one
+// batch from every other shard per superstep. Call it once per peer each
+// superstep; the self-addressed outbox is retained for Deliver. The caller
+// owns buf, so one buffer can carry every batch of every superstep.
+func (s *Shard) AppendOutbound(buf []byte, dst int) ([]byte, error) {
 	e, w := s.eng, s.w
 	if err := e.takeErr(); err != nil {
-		return nil, err
+		return buf, err
 	}
-	out := make([][]byte, len(e.workers))
-	for dst := range e.workers {
-		if dst == s.id {
-			continue
-		}
-		out[dst] = encodeBatch(nil, w.outbox[dst], e.cfg.PayloadCodec)
-		w.outbox[dst] = w.outbox[dst][:0]
+	if dst == s.id || dst < 0 || dst >= len(e.workers) {
+		return buf, fmt.Errorf("%w: shard %d has no outbound batch for shard %d", ErrBadConfig, s.id, dst)
 	}
-	return out, nil
+	buf = encodeBatch(buf, w.outbox[dst], e.cfg.PayloadCodec)
+	w.outbox[dst] = w.outbox[dst][:0]
+	return buf, nil
 }
 
 // Deliver runs this shard's receive phase: the self-addressed outbox first,
@@ -192,7 +188,7 @@ func (s *Shard) Deliver(batches [][]byte) (int64, error) {
 	}
 	w.outbox[s.id] = w.outbox[s.id][:0]
 	for _, b := range batches {
-		msgs, err := decodeBatchInto(w.decode[:0], b, e.cfg.PayloadCodec)
+		msgs, err := decodeBatchInto(w.decode[:0], b, e.numV, e.cfg.PayloadCodec)
 		w.decode = msgs[:0]
 		if err != nil {
 			return n, fmt.Errorf("engine: shard %d: %w", s.id, err)
@@ -366,7 +362,7 @@ func (s *Shard) RestoreDurable(data []byte) error {
 		if uint64(len(buf)) < blen {
 			return fmt.Errorf("%w: shard checkpoint: inbox batch truncated", ErrCheckpointCorrupt)
 		}
-		msgs, derr := decodeBatch(buf[:blen], e.cfg.PayloadCodec)
+		msgs, derr := decodeBatch(buf[:blen], e.numV, e.cfg.PayloadCodec)
 		if derr != nil {
 			return fmt.Errorf("engine: shard %d inbox decode: %w", s.id, derr)
 		}

@@ -44,25 +44,35 @@ func encodeBatch(buf []byte, msgs []Message, pc codec.Payload) []byte {
 	return buf
 }
 
+// ErrBatchCorrupt reports a message batch that does not parse, or that
+// addresses a vertex outside the graph. It wraps codec.ErrCorrupt.
+var ErrBatchCorrupt = fmt.Errorf("%w: message batch", codec.ErrCorrupt)
+
 // decodeBatch parses a batch produced by encodeBatch into a fresh slice.
-func decodeBatch(buf []byte, pc codec.Payload) ([]Message, error) {
-	return decodeBatchInto(nil, buf, pc)
+func decodeBatch(buf []byte, numVertices int, pc codec.Payload) ([]Message, error) {
+	return decodeBatchInto(nil, buf, numVertices, pc)
 }
 
 // decodeBatchInto parses a batch produced by encodeBatch, appending into
-// dst so the receive phase can reuse one grow-only buffer per worker. On
-// error the returned slice holds the messages decoded so far.
-func decodeBatchInto(dst []Message, buf []byte, pc codec.Payload) ([]Message, error) {
+// dst so the receive phase can reuse one grow-only buffer per worker. A
+// batch crosses a trust boundary, so every destination is checked against
+// numVertices before it is narrowed to a vertex index, and only the exact
+// bytes encodeBatch writes are accepted: minimal varints, no trailing
+// bytes. On error the returned slice holds the messages decoded so far.
+func decodeBatchInto(dst []Message, buf []byte, numVertices int, pc codec.Payload) ([]Message, error) {
 	n, k := binary.Uvarint(buf)
-	if k <= 0 {
-		return dst, fmt.Errorf("engine: corrupt batch header")
+	if !codec.MinimalVarint(buf, k) {
+		return dst, fmt.Errorf("%w: bad header", ErrBatchCorrupt)
 	}
 	buf = buf[k:]
 	out := dst
 	for i := uint64(0); i < n; i++ {
 		d, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return out, fmt.Errorf("engine: corrupt message dst")
+		if !codec.MinimalVarint(buf, k) {
+			return out, fmt.Errorf("%w: bad message destination", ErrBatchCorrupt)
+		}
+		if d >= uint64(numVertices) {
+			return out, fmt.Errorf("%w: destination %d of %d vertices", ErrBatchCorrupt, d, numVertices)
 		}
 		buf = buf[k:]
 		when, k, err := codec.Interval(buf)
@@ -76,6 +86,9 @@ func decodeBatchInto(dst []Message, buf []byte, pc codec.Payload) ([]Message, er
 		}
 		buf = buf[k:]
 		out = append(out, Message{Dst: int32(d), When: when, Value: val})
+	}
+	if len(buf) != 0 {
+		return out, fmt.Errorf("%w: %d bytes after the last message", ErrBatchCorrupt, len(buf))
 	}
 	return out, nil
 }

@@ -19,7 +19,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Dst: 1024, When: ival.Point(0), Value: int64(0)},
 	}
 	buf := encodeBatch(nil, msgs, pc)
-	got, err := decodeBatch(buf, pc)
+	got, err := decodeBatch(buf, 1025, pc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -28,12 +28,12 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	// Empty batch.
 	buf = encodeBatch(nil, nil, pc)
-	got, err = decodeBatch(buf, pc)
+	got, err = decodeBatch(buf, 1025, pc)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch: %v %v", got, err)
 	}
 	// Corruption.
-	if _, err := decodeBatch([]byte{0x05, 0x01}, pc); err == nil {
+	if _, err := decodeBatch([]byte{0x05, 0x01}, 1025, pc); err == nil {
 		t.Fatalf("corrupt batch must fail")
 	}
 }
