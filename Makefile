@@ -50,10 +50,10 @@ chaos:
 bench:
 	$(GO) run ./cmd/graphite-bench -scale 1 -workers 8 all
 
-# Scheduler skew ablation: static vs balanced-partition vs work-stealing
-# compute on a heavily skewed power-law temporal graph. Records the report
-# to BENCH_skew.json (and a human-readable table on stdout); the run also
-# asserts bit-identical results across scheduler modes and fails otherwise.
+# Partition skew ablation: range vs balanced vertex placement on a heavily
+# skewed power-law temporal graph. Records the report to BENCH_skew.json
+# (and a human-readable table on stdout); the run also asserts bit-identical
+# SSSP/EAT results across the two placements and fails otherwise.
 SKEW_SCALE ?= 1
 bench-skew:
 	$(GO) run ./cmd/graphite-bench -scale $(SKEW_SCALE) -workers 8 -skew-json BENCH_skew.json skew
@@ -118,8 +118,8 @@ stream-smoke:
 	$(GO) test -race -run 'TestConcurrentIngestAndQueries|TestLiveMutation' -v ./internal/serve/
 	$(GO) run ./cmd/graphite-bench -scale $(STREAM_SCALE) -workers 8 -stream-json BENCH_stream.json stream
 
-# Snapshot-format smoke test: the load experiment (text vs binary vs mapped
-# .gsn opens, with a hard >= 10x mmap-vs-text gate, algorithm identity on
+# Snapshot-format smoke test: the load experiment (text vs mapped .gsn
+# opens, with a hard >= 10x mmap-vs-text gate, algorithm identity on
 # the mapped graph, and compacted-vs-full WAL recovery), plus the kill-9
 # during-compaction chaos proof. Records the report to BENCH_load.json.
 LOAD_SCALE ?= 1

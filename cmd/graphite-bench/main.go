@@ -7,9 +7,8 @@
 //
 // Experiments: table1, table2, fig4, fig5, fig6a, fig6b, fig6c, fig7,
 // msgsize, loc, chaos, alloc, skew, obs, recovery, stream, cluster, all. The
-// skew
-// experiment is the scheduler ablation (static / balanced-partition /
-// work-stealing compute on a heavily skewed power-law graph); -skew-json
+// skew experiment is the partition ablation (range vs balanced vertex
+// placement on a heavily skewed power-law graph); -skew-json
 // records its report. The recovery experiment runs the multi-process cluster
 // runtime, SIGKILLs a worker mid-superstep, and measures detection latency,
 // MTTR, and replayed supersteps against a fault-free run; -recovery-json

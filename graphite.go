@@ -115,7 +115,7 @@ var (
 	TransitExample = tgraph.TransitExample
 	// SliceGraph materializes the sub-graph restricted to a time window.
 	SliceGraph = tgraph.Slice
-	// OpenGraphFile loads a graph file in any format (text, binary or
+	// OpenGraphFile loads a graph file in either format (text or
 	// snapshot), sniffing the magic header. Snapshots are memory-mapped;
 	// other formats parse into the heap with a no-op Close.
 	OpenGraphFile = tgraph.OpenAnyFile
@@ -206,19 +206,14 @@ var (
 // the Options.MaxRecoveries budget.
 var ErrRecoveryExhausted = engine.ErrRecoveryExhausted
 
-// Scheduling: Options.Steal turns on the chunked work-stealing compute
-// scheduler (results stay byte-identical; see DESIGN.md §13), and
-// Options.Partitioner overrides the default index-modulo vertex placement.
+// Scheduling: Options.Partitioner overrides the default index-modulo vertex
+// placement (see DESIGN.md §13).
 var (
 	// PartitionBalanced builds a skew-aware static partitioner: greedy
 	// bin-packing of vertices onto workers by per-vertex work weights,
 	// typically Graph.WorkWeights (Σ out-degree · lifespan length).
 	PartitionBalanced = engine.PartitionBalanced
 )
-
-// DefaultStealChunk is the stealable chunk granularity used when
-// Options.Steal is set and Options.StealChunk is zero.
-const DefaultStealChunk = engine.DefaultStealChunk
 
 // Observability: the metrics registry, the per-superstep trace stream and
 // its sinks. Set Options.Tracer and/or Options.Registry to instrument a

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,9 +23,9 @@ import (
 //
 // Two measurements on the storage layer:
 //
-//  1. Format load latency: the same generated graph written as text,
-//     binary, and the mmap-able snapshot; each is opened loadRuns times and
-//     the median wall time reported. The snapshot has two rows — verified
+//  1. Format load latency: the same generated graph written as text and as
+//     the mmap-able snapshot; each is opened loadRuns times and the median
+//     wall time reported. The snapshot has two rows — verified
 //     (every section CRC checked, touching all pages) and trusted (header
 //     and directory only, pages fault in on demand) — and the trusted open
 //     must beat the text parse by at least loadMinSpeedup, or the
@@ -34,7 +33,7 @@ import (
 //  2. Compacted recovery: the same event stream is recovered twice, once by
 //     replaying the full WAL and once from a snapshot compacted at ~75% of
 //     ingest plus the WAL tail. The tail must be strictly shorter than the
-//     full history and both recoveries must produce byte-identical graphs.
+//     full history and both recoveries must produce identical graphs.
 //
 // Every timing row is backed by an identity check: EAT, SSSP and PageRank
 // run over the mapped snapshot must match the text-parsed graph vertex for
@@ -66,8 +65,8 @@ type LoadReport struct {
 	Vertices int    `json:"vertices"`
 	Edges    int    `json:"edges"`
 	Runs     int    `json:"runs_per_cell"`
-	// Formats: text parse, binary decode, snapshot verified, snapshot
-	// trusted (mmap, CRCs skipped).
+	// Formats: text parse, snapshot verified, snapshot trusted (mmap, CRCs
+	// skipped).
 	Formats []LoadFormatRow `json:"formats"`
 	// MappedIdentical records the algorithm-identity check over the mapped
 	// snapshot (the experiment fails if any vertex diverges).
@@ -123,12 +122,8 @@ func Load(cfg Config) (*LoadReport, error) {
 	}
 
 	textPath := filepath.Join(dir, "g.tg")
-	binPath := filepath.Join(dir, "g.tgb")
 	snapPath := filepath.Join(dir, "g.gsn")
 	if err := tgraph.WriteFile(textPath, g); err != nil {
-		return nil, err
-	}
-	if err := tgraph.WriteBinaryFile(binPath, g); err != nil {
 		return nil, err
 	}
 	if err := tgraph.WriteSnapshotFile(snapPath, g); err != nil {
@@ -148,7 +143,6 @@ func Load(cfg Config) (*LoadReport, error) {
 		open   func() error
 	}{
 		{"text", textPath, func() error { _, err := tgraph.ReadFile(textPath); return err }},
-		{"binary", binPath, func() error { _, err := tgraph.ReadBinaryFile(binPath); return err }},
 		{"snapshot-verified", snapPath, func() error {
 			m, err := tgraph.OpenMapped(snapPath)
 			if err != nil {
@@ -323,15 +317,8 @@ func loadRecovery(cfg Config, dir string, rep *LoadReport) error {
 	epF, epC := gFull.Acquire(), gComp.Acquire()
 	defer epF.Release()
 	defer epC.Release()
-	var bufF, bufC bytes.Buffer
-	if err := tgraph.WriteBinary(&bufF, epF.Graph()); err != nil {
-		return err
-	}
-	if err := tgraph.WriteBinary(&bufC, epC.Graph()); err != nil {
-		return err
-	}
-	if !bytes.Equal(bufF.Bytes(), bufC.Bytes()) {
-		return fmt.Errorf("compacted recovery and full replay produced different graphs")
+	if err := tgraph.Equal(epF.Graph(), epC.Graph()); err != nil {
+		return fmt.Errorf("compacted recovery and full replay produced different graphs: %w", err)
 	}
 	return nil
 }

@@ -19,43 +19,32 @@ import (
 	"graphite/internal/tgraph"
 )
 
-// --- skew: scheduler ablation on a skewed power-law temporal graph ---
+// --- skew: partition ablation on a skewed power-law temporal graph ---
 //
-// The experiment isolates compute skew, the straggler problem the
-// skew-aware scheduler exists for. The generator's power law concentrates
+// The experiment isolates compute skew, the straggler problem balanced
+// placement exists for. The generator's power law concentrates
 // edge work on low-index hub vertices, and the static baseline partitions
 // by contiguous vertex ranges — the locality-preserving assignment a real
 // ingest produces, and the worst case for skew: one worker owns every hub
-// and every superstep barrier waits on it. Four modes decompose the remedy:
+// and every superstep barrier waits on it. Two modes measure the remedy:
 //
-//	static          range partition, static schedule (the pre-scheduler loop)
-//	balanced        PartitionBalanced over Σ(out-degree·lifespan) weights
-//	steal           range partition + chunked work stealing
-//	balanced+steal  both
+//	static    range partition (the skewed baseline)
+//	balanced  PartitionBalanced over Σ(out-degree·lifespan) weights
 //
-// Every mode must produce bit-identical vertex states for the same
-// partition (stealing only re-times execution, never reorders effects);
-// the report fails loudly if they diverge.
-//
-// Stealing runs at chunk granularity 1 here: under a range partition the
-// hubs are adjacent in slot order, so any larger chunk welds the heaviest
-// vertices into one indivisible steal unit and the balance floor rises to
-// that chunk's share of the work. Chunk 1 is also the adversarial
-// determinism configuration — maximal steal traffic and lane merging.
+// Both modes must produce bit-identical vertex states for the min-fold
+// algorithms; the report fails loudly if they diverge.
 
-// SkewMode names one scheduler configuration of the skew experiment.
+// SkewMode names one vertex placement of the skew experiment.
 type SkewMode string
 
 // Skew experiment modes.
 const (
-	SkewStatic        SkewMode = "static"
-	SkewBalanced      SkewMode = "balanced"
-	SkewSteal         SkewMode = "steal"
-	SkewBalancedSteal SkewMode = "balanced+steal"
+	SkewStatic   SkewMode = "static"
+	SkewBalanced SkewMode = "balanced"
 )
 
-// SkewModes lists the four modes in report order.
-var SkewModes = []SkewMode{SkewStatic, SkewBalanced, SkewSteal, SkewBalancedSteal}
+// SkewModes lists the modes in report order.
+var SkewModes = []SkewMode{SkewStatic, SkewBalanced}
 
 // SkewAlgos are the algorithms of the skew ablation: PageRank exercises the
 // all-active dense load, SSSP and EAT the shifting sparse frontier.
@@ -65,10 +54,6 @@ var SkewAlgos = []Algo{PR, SSSP, EAT}
 // is their median, the imbalance statistics pool every superstep of every
 // run.
 const skewRuns = 3
-
-// skewChunk is the steal granularity of the experiment (see the package
-// comment above: hubs are slot-adjacent under a range partition).
-const skewChunk = 1
 
 // rangePartition assigns contiguous vertex-index blocks to workers — the
 // skewed static baseline the scheduler is measured against.
@@ -101,14 +86,8 @@ type SkewRow struct {
 	// oversubscription noise. WorkSkew is work-weighted across supersteps:
 	// Σ max / (Σ total / workers), i.e. the modeled parallel slowdown of
 	// the compute barriers.
-	WorkSkewMax float64 `json:"work_skew_max"`
-	WorkSkew    float64 `json:"work_skew"`
-	// Steals is the mean number of stolen chunks per run (zero unless the
-	// mode steals; the exact count is timing-dependent, unlike the results).
-	Steals int64 `json:"steals,omitempty"`
-	// StealWaitMS is the mean per-run total of worker idle-wait inside the
-	// stealing compute phase.
-	StealWaitMS  float64 `json:"steal_wait_ms,omitempty"`
+	WorkSkewMax  float64 `json:"work_skew_max"`
+	WorkSkew     float64 `json:"work_skew"`
 	Messages     int64   `json:"messages"`
 	MessageBytes int64   `json:"message_bytes"`
 }
@@ -116,16 +95,15 @@ type SkewRow struct {
 // SkewReport is the full skew experiment: the generated graph's shape plus
 // one row per (algorithm, mode).
 type SkewReport struct {
-	Graph      string    `json:"graph"`
-	Vertices   int       `json:"vertices"`
-	Edges      int       `json:"edges"`
-	Workers    int       `json:"workers"`
-	StealChunk int       `json:"steal_chunk"`
-	Runs       int       `json:"runs_per_cell"`
-	Rows       []SkewRow `json:"rows"`
+	Graph    string    `json:"graph"`
+	Vertices int       `json:"vertices"`
+	Edges    int       `json:"edges"`
+	Workers  int       `json:"workers"`
+	Runs     int       `json:"runs_per_cell"`
+	Rows     []SkewRow `json:"rows"`
 }
 
-// Skew runs the scheduler ablation and verifies the determinism contract
+// Skew runs the partition ablation and verifies the determinism contract
 // across modes before returning the report.
 func Skew(cfg Config) (*SkewReport, error) {
 	p := gen.SkewedLike(cfg.Scale)
@@ -136,12 +114,11 @@ func Skew(cfg Config) (*SkewReport, error) {
 	balanced := engine.PartitionBalanced(g.WorkWeights())
 
 	rep := &SkewReport{
-		Graph:      p.Name,
-		Vertices:   g.NumVertices(),
-		Edges:      g.NumEdges(),
-		Workers:    cfg.Workers,
-		StealChunk: skewChunk,
-		Runs:       skewRuns,
+		Graph:    p.Name,
+		Vertices: g.NumVertices(),
+		Edges:    g.NumEdges(),
+		Workers:  cfg.Workers,
+		Runs:     skewRuns,
 	}
 	for _, al := range SkewAlgos {
 		results := map[SkewMode]*core.Result{}
@@ -160,27 +137,20 @@ func Skew(cfg Config) (*SkewReport, error) {
 	return rep, nil
 }
 
-// skewIdentity enforces the determinism contract: stealing must be
-// bit-identical to the static schedule on the same partition for every
-// algorithm; the balanced partition must also agree for the min-fold
-// algorithms (PageRank folds float rank mass in message arrival order, and
+// skewIdentity enforces the determinism contract: the balanced partition
+// must agree bit for bit with the static one for the min-fold algorithms
+// (PageRank folds float rank mass in message arrival order, and
 // repartitioning legitimately reorders arrival across workers, so it is
-// excluded from the cross-partition comparison only).
+// excluded).
 func skewIdentity(g *tgraph.Graph, al Algo, res map[SkewMode]*core.Result) error {
-	pairs := [][2]SkewMode{
-		{SkewStatic, SkewSteal},
-		{SkewBalanced, SkewBalancedSteal},
+	if al == PR {
+		return nil
 	}
-	if al != PR {
-		pairs = append(pairs, [2]SkewMode{SkewStatic, SkewBalanced})
-	}
-	for _, pr := range pairs {
-		a, b := res[pr[0]], res[pr[1]]
-		for v := 0; v < g.NumVertices(); v++ {
-			if !reflect.DeepEqual(a.State(v).Parts(), b.State(v).Parts()) {
-				return fmt.Errorf("bench: skew %s: vertex %d diverges between %s and %s",
-					al, v, pr[0], pr[1])
-			}
+	a, b := res[SkewStatic], res[SkewBalanced]
+	for v := 0; v < g.NumVertices(); v++ {
+		if !reflect.DeepEqual(a.State(v).Parts(), b.State(v).Parts()) {
+			return fmt.Errorf("bench: skew %s: vertex %d diverges between %s and %s",
+				al, v, SkewStatic, SkewBalanced)
 		}
 	}
 	return nil
@@ -189,7 +159,7 @@ func skewIdentity(g *tgraph.Graph, al Algo, res map[SkewMode]*core.Result) error
 // skewCell measures one (algorithm, mode) cell: a warm-up run to let pools
 // and grow-only buffers reach steady state, then skewRuns traced runs.
 func skewCell(cfg Config, al Algo, g *tgraph.Graph, mode SkewMode, balanced func(vertex, numWorkers int) int) (SkewRow, *core.Result, error) {
-	run := func(tr obs.Tracer, reg *obs.Registry) (*core.Result, error) {
+	run := func(tr obs.Tracer) (*core.Result, error) {
 		prog, opts, err := algorithms.New(g, strings.ToLower(string(al)), algorithms.Params{
 			Source:     g.VertexAt(0).ID,
 			Target:     g.VertexAt(g.NumVertices() - 1).ID,
@@ -200,25 +170,16 @@ func skewCell(cfg Config, al Algo, g *tgraph.Graph, mode SkewMode, balanced func
 		}
 		opts.NumWorkers = cfg.Workers
 		opts.Tracer = tr
-		opts.Registry = reg
 		switch mode {
 		case SkewStatic:
 			opts.Partitioner = rangePartition(g.NumVertices())
 		case SkewBalanced:
 			opts.Partitioner = balanced
-		case SkewSteal:
-			opts.Partitioner = rangePartition(g.NumVertices())
-			opts.Steal = true
-			opts.StealChunk = skewChunk
-		case SkewBalancedSteal:
-			opts.Partitioner = balanced
-			opts.Steal = true
-			opts.StealChunk = skewChunk
 		}
 		return core.Run(g, prog, opts)
 	}
 
-	if _, err := run(nil, nil); err != nil { // warm-up
+	if _, err := run(nil); err != nil { // warm-up
 		return SkewRow{}, nil, err
 	}
 	var (
@@ -229,13 +190,10 @@ func skewCell(cfg Config, al Algo, g *tgraph.Graph, mode SkewMode, balanced func
 		maxWork    int64 // Σ per-superstep max worker work, all runs
 		totalWork  int64 // Σ per-superstep total work, all runs
 		workers    int
-		steals     int64
-		stealNS    int64
 	)
 	for i := 0; i < skewRuns; i++ {
 		rec := &obs.Recorder{}
-		reg := obs.NewRegistry()
-		r, err := run(rec, reg)
+		r, err := run(rec)
 		if err != nil {
 			return SkewRow{}, nil, err
 		}
@@ -247,7 +205,6 @@ func skewCell(cfg Config, al Algo, g *tgraph.Graph, mode SkewMode, balanced func
 			if !ok || wp.Phase != "compute" {
 				continue
 			}
-			stealNS += wp.StealNS
 			if wp.Worker >= workers {
 				workers = wp.Worker + 1
 			}
@@ -258,7 +215,6 @@ func skewCell(cfg Config, al Algo, g *tgraph.Graph, mode SkewMode, balanced func
 		mw, tw := workTotals(evs)
 		maxWork += mw
 		totalWork += tw
-		steals += reg.Counter(obs.CSteals).Load()
 	}
 	sort.Slice(makespans, func(a, b int) bool { return makespans[a] < makespans[b] })
 
@@ -267,8 +223,6 @@ func skewCell(cfg Config, al Algo, g *tgraph.Graph, mode SkewMode, balanced func
 		Mode:         mode,
 		Supersteps:   last.Metrics.Supersteps,
 		MakespanMS:   float64(makespans[len(makespans)/2].Microseconds()) / 1e3,
-		Steals:       steals / skewRuns,
-		StealWaitMS:  float64(stealNS) / float64(skewRuns) / 1e6,
 		Messages:     last.Metrics.Messages,
 		MessageBytes: last.Metrics.MessageBytes,
 	}
@@ -350,11 +304,11 @@ func foldRatios(rs []float64) (max, mean float64) {
 
 // RenderSkew prints the skew ablation table.
 func RenderSkew(w io.Writer, rep *SkewReport) {
-	fmt.Fprintf(w, "Skew: scheduler ablation on %q (%d vertices, %d edges, %d workers, chunk %d, median of %d runs)\n",
-		rep.Graph, rep.Vertices, rep.Edges, rep.Workers, rep.StealChunk, rep.Runs)
+	fmt.Fprintf(w, "Skew: partition ablation on %q (%d vertices, %d edges, %d workers, median of %d runs)\n",
+		rep.Graph, rep.Vertices, rep.Edges, rep.Workers, rep.Runs)
 	fmt.Fprintln(w, "skew = per-superstep max/mean worker compute time (1.00 is balanced)")
 	t := stats.Table{Header: []string{
-		"Algo", "Mode", "Supersteps", "Makespan ms", "Skew max", "Skew mean", "Work skew", "Work max", "Steals", "Steal-wait ms", "Messages",
+		"Algo", "Mode", "Supersteps", "Makespan ms", "Skew max", "Skew mean", "Work skew", "Work max", "Messages",
 	}}
 	for _, r := range rep.Rows {
 		t.Add(string(r.Algo), string(r.Mode), r.Supersteps,
@@ -363,8 +317,6 @@ func RenderSkew(w io.Writer, rep *SkewReport) {
 			fmt.Sprintf("%.2f", r.SkewMean),
 			fmt.Sprintf("%.2f", r.WorkSkew),
 			fmt.Sprintf("%.2f", r.WorkSkewMax),
-			r.Steals,
-			fmt.Sprintf("%.2f", r.StealWaitMS),
 			r.Messages)
 	}
 	t.Render(w)

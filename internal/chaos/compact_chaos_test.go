@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"graphite/internal/live"
+	"graphite/internal/tgraph"
 )
 
 // compactChildEnv marks a re-execution as a compacting WAL writer child;
@@ -150,10 +151,8 @@ func TestCompactionSurvivesSIGKILL(t *testing.T) {
 	got, want := g.Acquire(), ref.Acquire()
 	defer got.Release()
 	defer want.Release()
-	if gb, wb := walGraphBytes(t, got.Graph()), walGraphBytes(t, want.Graph()); !bytes.Equal(gb, wb) {
-		t.Fatalf("recovered graph differs from regeneration: %d vs %d bytes (%d vertices/%d edges vs %d/%d)",
-			len(gb), len(wb), got.Graph().NumVertices(), got.Graph().NumEdges(),
-			want.Graph().NumVertices(), want.Graph().NumEdges())
+	if err := tgraph.Equal(got.Graph(), want.Graph()); err != nil {
+		t.Fatalf("recovered graph differs from regeneration: %v", err)
 	}
 	t.Logf("SIGKILL after %d acked batches; snapshot covered %d events, tail replayed %d of %d (graph %d vertices, %d edges)",
 		acked, rec.SnapshotEvents, rec.TailEvents, total, got.Graph().NumVertices(), got.Graph().NumEdges())

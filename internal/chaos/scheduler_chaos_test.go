@@ -3,44 +3,18 @@ package chaos
 import (
 	"reflect"
 	"testing"
-
-	"graphite/internal/algorithms"
-	"graphite/internal/core"
-	"graphite/internal/tgraph"
 )
 
-// chaosSSSPSteal mirrors chaosSSSP with the work-stealing scheduler enabled
-// at the most adversarial granularity (one-slot chunks: maximal steal
-// traffic and lane merging).
-func chaosSSSPSteal(t *testing.T, checkpointEvery int, tr *Transport, fp *FaultyProgram) (*core.Result, error) {
-	t.Helper()
-	g := tgraph.TransitExample()
-	a := &algorithms.SSSP{Source: 0, StartTime: 0}
-	opts := a.Options()
-	opts.NumWorkers = 3
-	opts.Steal = true
-	opts.StealChunk = 1
-	opts.CheckpointEvery = checkpointEvery
-	opts.MaxRecoveries = 10
-	if tr != nil {
-		opts.Transport = tr
-	}
-	if fp != nil {
-		opts.WrapProgram = fp.Wrap
-	}
-	return core.Run(g, a, opts)
-}
-
 // TestChaosRollbackRestoresFrontiers proves rollback-and-replay restores the
-// dense frontiers exactly under the work-stealing scheduler: an SSSP run with
-// stealing, seeded transport faults and an injected panic must replay to the
-// bit-identical states and deterministic metrics of a fault-free run on the
-// *static* scheduler. If a checkpoint restore ever resurrected a stale
-// frontier — a slot missing, duplicated, or out of sync with its active flag
-// — the replayed supersteps would compute a different vertex set and the
-// message totals below would diverge.
+// dense frontiers exactly: an SSSP run with seeded transport faults and an
+// injected panic, checkpointing every superstep, must replay to the
+// bit-identical states and deterministic metrics of a fault-free run. If a
+// checkpoint restore ever resurrected a stale frontier — a slot missing,
+// duplicated, or out of sync with its active flag — the replayed supersteps
+// would compute a different vertex set and the message totals below would
+// diverge.
 func TestChaosRollbackRestoresFrontiers(t *testing.T) {
-	base, err := chaosSSSP(t, 0, nil, nil) // fault-free, stealing off
+	base, err := chaosSSSP(t, 0, nil, nil)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
@@ -53,9 +27,9 @@ func TestChaosRollbackRestoresFrontiers(t *testing.T) {
 	}
 	defer tr.Close()
 	fp := NewFaultyProgram(PanicPlan{Superstep: 3, Vertex: AnyVertex})
-	got, err := chaosSSSPSteal(t, 1, tr, fp)
+	got, err := chaosSSSP(t, 1, tr, fp)
 	if err != nil {
-		t.Fatalf("chaos steal run: %v", err)
+		t.Fatalf("chaos run: %v", err)
 	}
 
 	if fp.Panics() < 1 {
@@ -66,7 +40,7 @@ func TestChaosRollbackRestoresFrontiers(t *testing.T) {
 	}
 	for i := 0; i < base.Graph.NumVertices(); i++ {
 		if !reflect.DeepEqual(base.State(i).Parts(), got.State(i).Parts()) {
-			t.Errorf("vertex %d partitions diverged:\nstatic fault-free: %v\nsteal chaos:       %v",
+			t.Errorf("vertex %d partitions diverged:\nfault-free: %v\nchaos:      %v",
 				i, base.State(i).Parts(), got.State(i).Parts())
 		}
 	}
@@ -74,9 +48,9 @@ func TestChaosRollbackRestoresFrontiers(t *testing.T) {
 	if bm.Supersteps != gm.Supersteps || bm.ComputeCalls != gm.ComputeCalls ||
 		bm.ScatterCalls != gm.ScatterCalls || bm.Messages != gm.Messages ||
 		bm.MessageBytes != gm.MessageBytes {
-		t.Errorf("metrics diverged:\nstatic fault-free: %v\nsteal chaos:       %v", bm, gm)
+		t.Errorf("metrics diverged:\nfault-free: %v\nchaos:      %v", bm, gm)
 	}
 	if base.Stats != got.Stats {
-		t.Errorf("ICM stats diverged:\nstatic fault-free: %+v\nsteal chaos: %+v", base.Stats, got.Stats)
+		t.Errorf("ICM stats diverged:\nfault-free: %+v\nchaos:      %+v", base.Stats, got.Stats)
 	}
 }

@@ -8,8 +8,10 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -326,7 +328,7 @@ func TestLeaseHealthTransitions(t *testing.T) {
 // TestLoadGraphAllFormats pins the graph-spec contract: every on-disk
 // format resolves to the identical graph (the partition maps depend on
 // it), a snapshot-backed cluster run matches the fixture-backed run, and
-// unknown specs fail loudly.
+// unknown specs and the retired binary format fail loudly.
 func TestLoadGraphAllFormats(t *testing.T) {
 	want := tgraph.TransitExample()
 	dir := t.TempDir()
@@ -334,15 +336,11 @@ func TestLoadGraphAllFormats(t *testing.T) {
 	if err := tgraph.WriteFile(text, want); err != nil {
 		t.Fatal(err)
 	}
-	bin := filepath.Join(dir, "g.tgb")
-	if err := tgraph.WriteBinaryFile(bin, want); err != nil {
-		t.Fatal(err)
-	}
 	snap := filepath.Join(dir, "g.gsn")
 	if err := tgraph.WriteSnapshotFile(snap, want); err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []string{"transit", "file:" + text, "file:" + bin, "file:" + snap} {
+	for _, spec := range []string{"transit", "file:" + text, "file:" + snap} {
 		m, err := cluster.LoadGraph(spec)
 		if err != nil {
 			t.Fatalf("LoadGraph(%q): %v", spec, err)
@@ -354,6 +352,13 @@ func TestLoadGraphAllFormats(t *testing.T) {
 	}
 	if _, err := cluster.LoadGraph("nope"); err == nil {
 		t.Fatal("unknown spec accepted")
+	}
+	bin := filepath.Join(dir, "g.tgb")
+	if err := os.WriteFile(bin, []byte("GRTG1\n\x03\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.LoadGraph("file:" + bin); !errors.Is(err, tgraph.ErrUnknownFormat) {
+		t.Fatalf("LoadGraph of a retired binary file: %v, want ErrUnknownFormat", err)
 	}
 
 	// A full cluster run over the mapped snapshot must match the

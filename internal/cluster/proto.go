@@ -275,7 +275,7 @@ func parseResultHeader(p []byte) (epoch, shard int, blob []byte, err error) {
 
 // LoadGraph resolves a graph spec shared between coordinator and workers:
 // "transit" is the built-in fixture, "file:<path>" loads any tgraph format
-// — text, binary, or a .gsn snapshot, which rejoining workers open as an
+// — text or a .gsn snapshot, which rejoining workers open as an
 // mmap so a respawn pays page faults instead of a parse — and
 // "shard:<dir>" names a partition directory written by WritePartitions,
 // from which each process maps only its own induced subgraph. Every process

@@ -7,10 +7,9 @@ import (
 )
 
 // workspace is one worker's reusable compute scratch, keyed by the
-// *executing* worker (engine.Context.Worker) — under work stealing that is
-// the thief, not the vertex's owner. A worker goroutine executes one vertex
-// at a time, so each workspace is touched by exactly one goroutine and needs
-// no locking regardless of whose partition the vertex came from.
+// executing worker (engine.Context.Worker). A worker goroutine executes one
+// vertex at a time, so each workspace is touched by exactly one goroutine
+// and needs no locking.
 // All buffers are grow-only: after the first few supersteps the align →
 // compute → scatter path of runtime.Run stops allocating. Everything in a
 // workspace is valid only until the worker's next vertex — nothing here may

@@ -10,13 +10,9 @@ import (
 // facilities. A Context is only valid for the duration of the call.
 type Context struct {
 	eng    *Engine
-	w      *worker // the executing worker: partials and scratch are its own
+	w      *worker // the vertex's owner: partials and scratch are its own
 	vertex int32
 	slot   int
-	// lanes, when non-nil, are the per-destination outbox lanes of the chunk
-	// being executed; Send appends there instead of the worker outboxes so
-	// stolen chunks stay order-independent until the deterministic merge.
-	lanes [][]Message
 }
 
 // Vertex returns the dense index of the vertex being executed.
@@ -28,12 +24,10 @@ func (c *Context) Superstep() int { return c.eng.superstp }
 // NumWorkers returns the number of BSP workers.
 func (c *Context) NumWorkers() int { return len(c.eng.workers) }
 
-// Worker returns the id of the worker executing this vertex — under work
-// stealing, the thief, not the vertex's owner. Platform layers key
-// per-worker scratch workspaces off it: a worker goroutine only ever
-// executes one vertex at a time, so workspace access needs no
-// synchronization even when the vertex belongs to another worker's
-// partition.
+// Worker returns the id of the worker executing this vertex, which is the
+// worker that owns it. Platform layers key per-worker scratch workspaces off
+// it: a worker goroutine only ever executes one vertex at a time, so
+// workspace access needs no synchronization.
 func (c *Context) Worker() int { return c.w.id }
 
 // Phase returns the master-set phase number (0 until changed).
@@ -44,12 +38,7 @@ func (c *Context) Phase() int { return c.eng.phase }
 func (c *Context) Send(dst int, when ival.Interval, value any) {
 	w := c.w
 	dw := int(c.eng.part[dst])
-	m := Message{Dst: int32(dst), When: when, Value: value}
-	if c.lanes != nil {
-		c.lanes[dw] = append(c.lanes[dw], m)
-	} else {
-		w.outbox[dw] = append(w.outbox[dw], m)
-	}
+	w.outbox[dw] = append(w.outbox[dw], Message{Dst: int32(dst), When: when, Value: value})
 	w.sentMsgs++
 	ivalBytes := int64(codec.IntervalSize(when))
 	w.sentBytes += ivalBytes + c.payloadSize(value)

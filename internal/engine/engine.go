@@ -83,17 +83,6 @@ type Config struct {
 	// partitioning strategies is the paper's stated future work; the seam
 	// makes locality experiments possible.
 	Partitioner func(vertex, numWorkers int) int
-	// Steal enables chunked work stealing in the compute phase: each
-	// worker's active frontier is cut into fixed-size chunks and idle
-	// workers claim chunks from the most-loaded peers. Stolen chunks emit
-	// into per-chunk outbox lanes merged in deterministic (owner, slot)
-	// order at the barrier, so results are byte-identical with stealing on
-	// or off; only per-worker phase attribution in traces becomes
-	// timing-dependent.
-	Steal bool
-	// StealChunk is the number of frontier slots per stealable chunk; zero
-	// means DefaultStealChunk. Only meaningful with Steal.
-	StealChunk int
 	// Combiner, if set, merges payloads of messages to the same vertex
 	// with identical intervals at delivery time.
 	Combiner Combiner
@@ -182,9 +171,6 @@ type Engine struct {
 	halted   bool
 	superstp int
 
-	stealOn   bool // Config.Steal, resolved
-	chunkSize int  // Config.StealChunk, resolved
-
 	// Observability: totals live in the registry; Metrics is a per-run view
 	// over it (registry value minus the Run-start baseline).
 	reg    *obs.Registry
@@ -217,13 +203,6 @@ type worker struct {
 	// at delivery time (activation order), sorted at compute start. Grow-only.
 	frontier []int32
 	allSlots []int32 // lazily built 0..len(local)-1 schedule for ActivateAll
-	sched    []int32 // slot list the in-flight compute phase iterates
-
-	// Chunked work stealing (Config.Steal): this worker's stealable chunks
-	// over sched, claimed through the atomic cursor by any worker.
-	chunks  []chunk
-	nchunks int
-	cursor  atomic.Int32
 
 	// Per-worker metric partials, merged after every superstep.
 	computeCalls int64
@@ -236,8 +215,6 @@ type worker struct {
 	// records into its own fields; the coordinator reads them after the
 	// phase barrier (workers are quiescent then), so no synchronization.
 	computeNS  int64
-	stealNS    int64 // compute-phase idle-wait at the steal barrier
-	steals     int64 // chunks this worker executed for other workers
 	shipNS     int64
 	exchangeNS int64
 	delivered  int64
@@ -277,12 +254,6 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("%w: CheckpointEvery requires a Program implementing Snapshotter", ErrBadConfig)
 		}
 	}
-	if cfg.StealChunk < 0 {
-		return nil, fmt.Errorf("%w: StealChunk must be >= 0", ErrBadConfig)
-	}
-	if cfg.StealChunk == 0 {
-		cfg.StealChunk = DefaultStealChunk
-	}
 	e := &Engine{
 		cfg:     cfg,
 		program: program,
@@ -295,8 +266,6 @@ func New(numVertices int, program Program, cfg Config) (*Engine, error) {
 		traced:  cfg.Tracer != nil,
 		ctx:     cfg.Context,
 	}
-	e.stealOn = cfg.Steal
-	e.chunkSize = cfg.StealChunk
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -407,17 +376,9 @@ func (e *Engine) Run() (*Metrics, error) {
 
 		// Compute phase: user logic over the dense active frontier,
 		// interleaved with message emission into outboxes ("compute+" in the
-		// paper). With stealing, three sub-barriers: cut every frontier into
-		// chunks, execute chunks (own first, then stolen), then merge chunk
-		// lanes into the real outboxes in deterministic (owner, slot) order.
+		// paper).
 		t0 := time.Now()
-		if e.stealOn {
-			e.parallel(func(w *worker) { w.prepareChunks() })
-			e.parallel(func(w *worker) { w.runChunks() })
-			e.parallel(func(w *worker) { w.mergeChunks() })
-		} else {
-			e.parallel(func(w *worker) { w.computeStatic() })
-		}
+		e.parallel(func(w *worker) { w.compute() })
 		t1 := time.Now()
 		// Cancellation wins over a concurrent fault: the run is being torn
 		// down either way, and rollback must never replay a canceled phase.
@@ -488,7 +449,6 @@ func (e *Engine) Run() (*Metrics, error) {
 				MessageBytes: st.sentBytes,
 				Delivered:    delivered,
 				Active:       e.countActive(),
-				Steals:       st.steals,
 				Intervals: obs.IntervalBytes{
 					Unit:      st.classBytes[codec.ClassUnit],
 					Unbounded: st.classBytes[codec.ClassUnbounded],

@@ -1,23 +1,20 @@
 package engine
 
 import (
-	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"graphite/internal/codec"
 	ival "graphite/internal/interval"
-	"graphite/internal/obs"
 )
 
 // hashProgram is deliberately order-sensitive: each superstep a vertex folds
 // its inbox into a running hash with a non-commutative mix and forwards the
-// hash to its neighbors. Any scheduler change that reorders message emission
-// or delivery — across chunks, steals, or partitions — diverges the final
-// hashes, so equality below means the message streams are identical, not
-// merely equivalent.
+// hash to its neighbors. Any nondeterminism in message emission or delivery
+// order diverges the final hashes, so equality below means the message
+// streams are identical, not merely equivalent.
 type hashProgram struct {
 	adj  [][]int
 	mu   sync.Mutex
@@ -78,30 +75,31 @@ func runHash(t *testing.T, n, supersteps int, cfg Config) ([]uint64, *Metrics) {
 	return p.hash, m
 }
 
-// TestStealDeterminismMatrix is the engine half of the determinism
-// acceptance: with stealing {on, off} × chunk {1, 3, 64} × several worker
-// counts, an order-sensitive program must produce hashes identical to the
-// static schedule, and the run's message/byte/call totals must match
-// exactly.
-func TestStealDeterminismMatrix(t *testing.T) {
+// TestStaticScheduleDeterminism is the engine half of the determinism
+// acceptance: for several worker counts, an order-sensitive program run
+// twice under the same configuration must produce identical hashes, and the
+// run's message/byte/call/superstep totals must match the single-worker run
+// exactly, since placement changes who computes a vertex but not what is
+// sent.
+func TestStaticScheduleDeterminism(t *testing.T) {
 	const n, steps = 96, 6
+	_, single := runHash(t, n, steps, Config{NumWorkers: 1})
 	for _, workers := range []int{1, 2, 4, 7} {
-		base, bm := runHash(t, n, steps, Config{NumWorkers: workers})
-		for _, chunk := range []int{1, 3, 64} {
-			got, gm := runHash(t, n, steps, Config{NumWorkers: workers, Steal: true, StealChunk: chunk})
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			base, _ := runHash(t, n, steps, Config{NumWorkers: workers})
+			got, gm := runHash(t, n, steps, Config{NumWorkers: workers})
 			for v := range base {
 				if got[v] != base[v] {
-					t.Fatalf("workers=%d chunk=%d: hash[%d] = %#x, want %#x (static)",
-						workers, chunk, v, got[v], base[v])
+					t.Fatalf("hash[%d] = %#x, want %#x (identical earlier run)", v, got[v], base[v])
 				}
 			}
-			if gm.Messages != bm.Messages || gm.MessageBytes != bm.MessageBytes ||
-				gm.ComputeCalls != bm.ComputeCalls || gm.Supersteps != bm.Supersteps {
-				t.Fatalf("workers=%d chunk=%d: metrics diverged: got {msgs %d bytes %d calls %d steps %d}, want {%d %d %d %d}",
-					workers, chunk, gm.Messages, gm.MessageBytes, gm.ComputeCalls, gm.Supersteps,
-					bm.Messages, bm.MessageBytes, bm.ComputeCalls, bm.Supersteps)
+			if gm.Messages != single.Messages || gm.MessageBytes != single.MessageBytes ||
+				gm.ComputeCalls != single.ComputeCalls || gm.Supersteps != single.Supersteps {
+				t.Fatalf("metrics diverged: got {msgs %d bytes %d calls %d steps %d}, want {%d %d %d %d} (single worker)",
+					gm.Messages, gm.MessageBytes, gm.ComputeCalls, gm.Supersteps,
+					single.Messages, single.MessageBytes, single.ComputeCalls, single.Supersteps)
 			}
-		}
+		})
 	}
 }
 
@@ -127,10 +125,10 @@ func TestFrontierTracksFlags(t *testing.T) {
 	if !e.anyActive() {
 		t.Fatal("anyActive = false with a populated frontier")
 	}
-	w.prepareSched()
+	sched := w.prepareSched()
 	for i, want := range []int32{2, 5, 7} {
-		if w.sched[i] != want {
-			t.Fatalf("sched[%d] = %d, want %d (sorted ascending)", i, w.sched[i], want)
+		if sched[i] != want {
+			t.Fatalf("sched[%d] = %d, want %d (sorted ascending)", i, sched[i], want)
 		}
 	}
 	w.finishSched()
@@ -147,75 +145,11 @@ func TestFrontierTracksFlags(t *testing.T) {
 	}
 }
 
-// spinProgram burns a little CPU per vertex and stays quiet, so a skewed
-// partition gives one worker a visibly long compute phase for thieves to
-// relieve.
-type spinProgram struct{ sink int64 }
-
-func (p *spinProgram) Init(*Context) {}
-
-func (p *spinProgram) Run(ctx *Context, msgs []Message) {
-	var acc int64
-	for i := 0; i < 20000; i++ {
-		acc += int64(i) ^ acc<<1
-	}
-	atomic.AddInt64(&p.sink, acc)
-}
-
-// TestStealsHappenAndAreCounted forces total skew — every vertex on worker 0
-// of two, chunk size 1, slow vertices — and requires the idle worker to have
-// stolen at least one chunk, with the registry counter and trace totals
-// agreeing.
-func TestStealsHappenAndAreCounted(t *testing.T) {
-	const n = 64
-	reg := obs.NewRegistry()
-	rec := &obs.Recorder{}
-	e, err := New(n, &spinProgram{}, Config{
-		NumWorkers:    2,
-		Steal:         true,
-		StealChunk:    1,
-		MaxSupersteps: 1,
-		Partitioner:   func(v, workers int) int { return 0 },
-		Registry:      reg,
-		Tracer:        rec,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	steals := reg.Counter(obs.CSteals).Load()
-	if steals == 0 {
-		t.Fatal("no steals recorded: worker 1 sat idle next to 64 one-slot chunks on worker 0")
-	}
-	var traced int64
-	for _, ev := range rec.Events() {
-		if se, ok := ev.(obs.SuperstepEnd); ok {
-			traced += se.Steals
-		}
-	}
-	if traced != steals {
-		t.Fatalf("superstep_end steals sum = %d, registry counter = %d", traced, steals)
-	}
-	if g := reg.Gauge(obs.GActiveVertices); g == nil {
-		t.Fatal("active_vertices gauge not published")
-	}
-}
-
-// TestStealChunkValidation: a negative chunk size is a config error.
-func TestStealChunkValidation(t *testing.T) {
-	_, err := New(4, idleProgram{}, Config{NumWorkers: 2, Steal: true, StealChunk: -1})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("err = %v, want ErrBadConfig", err)
-	}
-}
-
-// TestCheckpointRestoresFrontierUnderStealing is the rollback half: a run
-// with stealing on, checkpointing every 2 supersteps and one injected panic
-// must replay to exactly the fault-free static result — which requires the
-// restored frontiers to match the restored active flags bit for bit.
-func TestCheckpointRestoresFrontierUnderStealing(t *testing.T) {
+// TestCheckpointRestoresFrontier is the rollback half: a run checkpointing
+// every 2 supersteps with one injected panic must replay to exactly the
+// fault-free result — which requires the restored frontiers to match the
+// restored active flags bit for bit.
+func TestCheckpointRestoresFrontier(t *testing.T) {
 	const n = 24
 	clean := newFaultProgram(n)
 	e, err := New(n, clean, Config{NumWorkers: 3})
@@ -230,8 +164,6 @@ func TestCheckpointRestoresFrontierUnderStealing(t *testing.T) {
 	faulty.panicRunAt = 5
 	e2, err := New(n, faulty, Config{
 		NumWorkers:      3,
-		Steal:           true,
-		StealChunk:      2,
 		CheckpointEvery: 2,
 	})
 	if err != nil {
@@ -246,7 +178,7 @@ func TestCheckpointRestoresFrontierUnderStealing(t *testing.T) {
 	}
 	for v := range clean.dist {
 		if faulty.dist[v] != clean.dist[v] {
-			t.Fatalf("dist[%d] = %d after recovery, want %d (fault-free static)",
+			t.Fatalf("dist[%d] = %d after recovery, want %d (fault-free)",
 				v, faulty.dist[v], clean.dist[v])
 		}
 	}
@@ -264,9 +196,8 @@ func (p selfSendProgram) Run(ctx *Context, msgs []Message) {
 }
 
 // steadySchedulerStep builds one synchronous full superstep — frontier
-// scheduling (static or chunked+stolen), compute with self-sends, lane
-// merge, and local exchange — warmed past every grow-only buffer's working
-// size.
+// scheduling, compute with self-sends and local exchange — warmed past every
+// grow-only buffer's working size.
 func steadySchedulerStep(t testing.TB, cfg Config) func() {
 	t.Helper()
 	cfg.PayloadCodec = codec.Int64{}
@@ -280,23 +211,8 @@ func steadySchedulerStep(t testing.TB, cfg Config) func() {
 		}
 	}
 	step := func() {
-		if e.stealOn {
-			for _, w := range e.workers {
-				w.prepareChunks()
-			}
-			// Synchronous stand-in for the parallel phase: the first worker
-			// drains its own deque and then steals everything else, so both
-			// the own-claim and the steal path are measured.
-			for _, w := range e.workers {
-				w.runChunks()
-			}
-			for _, w := range e.workers {
-				w.mergeChunks()
-			}
-		} else {
-			for _, w := range e.workers {
-				w.computeStatic()
-			}
+		for _, w := range e.workers {
+			w.compute()
 		}
 		for _, w := range e.workers {
 			w.exchangeLocal()
@@ -308,10 +224,9 @@ func steadySchedulerStep(t testing.TB, cfg Config) func() {
 	return step
 }
 
-// TestSchedulerNoAllocsSteadyState extends the PR 4 allocation discipline to
-// the scheduler: a steady-state superstep through the dense frontier — and
-// through chunk preparation, stealing and lane merging when enabled — must
-// not allocate.
+// TestSchedulerNoAllocsSteadyState extends the engine's allocation
+// discipline to the scheduler: a steady-state superstep through the dense
+// frontier must not allocate.
 func TestSchedulerNoAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gate skipped under -race: sync.Pool drops items at random under the race detector")
@@ -321,8 +236,6 @@ func TestSchedulerNoAllocsSteadyState(t *testing.T) {
 		cfg  Config
 	}{
 		{name: "static-frontier", cfg: Config{NumWorkers: 2}},
-		{name: "steal-chunk1", cfg: Config{NumWorkers: 2, Steal: true, StealChunk: 1}},
-		{name: "steal-chunk4", cfg: Config{NumWorkers: 2, Steal: true, StealChunk: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

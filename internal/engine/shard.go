@@ -62,7 +62,7 @@ type Shard struct {
 // worker count, codec, program construction), which is why NumWorkers must
 // be explicit — a GOMAXPROCS default would diverge between hosts. Single-
 // process concerns are rejected: Transport (the cluster IS the transport),
-// Steal (no shared memory to steal from), Master and CheckpointEvery (the
+// Master and CheckpointEvery (the
 // coordinator owns control flow and durable checkpoints), Context
 // (cancellation arrives as a connection close, not a ctx).
 func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, error) {
@@ -71,9 +71,6 @@ func NewShard(numVertices int, program Program, cfg Config, shard int) (*Shard, 
 	}
 	if cfg.Transport != nil {
 		return nil, fmt.Errorf("%w: shard execution replaces Transport", ErrBadConfig)
-	}
-	if cfg.Steal {
-		return nil, fmt.Errorf("%w: work stealing requires shared memory; shards have none", ErrBadConfig)
 	}
 	if cfg.Master != nil {
 		return nil, fmt.Errorf("%w: master compute is centralized at the cluster coordinator", ErrBadConfig)
@@ -150,7 +147,7 @@ func (s *Shard) Compute() error {
 				})
 			}
 		}()
-		s.w.computeStatic()
+		s.w.compute()
 	}()
 	return e.takeErr()
 }

@@ -1,13 +1,13 @@
 package live
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"testing"
 
 	ival "graphite/internal/interval"
 	"graphite/internal/stream"
+	"graphite/internal/tgraph"
 )
 
 // copyFile snapshots a file's bytes so tests can restore pre-compaction
@@ -87,15 +87,15 @@ func TestCompactAndReopenMatchesUncompactedReplay(t *testing.T) {
 			recA.TailEvents, recB.TailEvents)
 	}
 
-	// Bit-identical state: same info, same canonical graph bytes.
+	// Identical state: same info, same graph.
 	if ia, ib := ga2.Info(), gb2.Info(); ia != ib || ia != infoA {
 		t.Fatalf("reopened infos diverge: %+v vs %+v (want %+v)", ia, ib, infoA)
 	}
 	epA, epB := ga2.Acquire(), gb2.Acquire()
 	defer epA.Release()
 	defer epB.Release()
-	if !bytes.Equal(graphBytes(t, epA.Graph()), graphBytes(t, epB.Graph())) {
-		t.Fatal("compacted recovery and full replay produced different graphs")
+	if err := tgraph.Equal(epA.Graph(), epB.Graph()); err != nil {
+		t.Fatalf("compacted recovery and full replay produced different graphs: %v", err)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestCompactNoTailServesMappedEpoch(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	ep := g.Acquire()
-	want := graphBytes(t, ep.Graph())
+	want := ep.Graph()
 	ep.Release()
 	g.Close()
 
@@ -128,8 +128,8 @@ func TestCompactNoTailServesMappedEpoch(t *testing.T) {
 	if ep2.drop == nil {
 		t.Fatal("tail-free reopen should serve the mapped snapshot directly")
 	}
-	if got := graphBytes(t, ep2.Graph()); !bytes.Equal(got, want) {
-		t.Fatal("mapped epoch differs from pre-close graph")
+	if err := tgraph.Equal(ep2.Graph(), want); err != nil {
+		t.Fatalf("mapped epoch differs from pre-close graph: %v", err)
 	}
 	if ep2.ID() != 1 {
 		t.Fatalf("epoch id = %d, want 1", ep2.ID())

@@ -55,11 +55,10 @@ const (
 	GPoolMisses  = "engine.pool_misses"
 	GBytesReused = "engine.bytes_reused"
 
-	// Scheduler: chunks executed on behalf of another worker (counter), the
-	// dense-frontier size after the latest delivery barrier, and the latest
-	// superstep's compute-time imbalance across workers — max/mean worker
-	// compute time in thousandths (1000 = perfectly balanced).
-	CSteals                = "engine.steals"
+	// Scheduler: the dense-frontier size after the latest delivery barrier,
+	// and the latest superstep's compute-time imbalance across workers —
+	// max/mean worker compute time in thousandths (1000 = perfectly
+	// balanced).
 	GActiveVertices        = "engine.active_vertices"
 	GComputeImbalanceMilli = "engine.compute_imbalance_milli"
 

@@ -62,8 +62,9 @@ const (
 )
 
 var (
-	// ErrUnknownFormat reports a file whose leading bytes match none of the
-	// text, binary or snapshot graph encodings.
+	// ErrUnknownFormat reports a file whose leading bytes match neither the
+	// text nor the snapshot graph encoding, or an output format name
+	// FileWriter does not know.
 	ErrUnknownFormat = errors.New("tgraph: unknown graph format")
 	// ErrSnapshotCorrupt reports a snapshot file that is truncated,
 	// fails a CRC, or is structurally inconsistent.
@@ -991,7 +992,6 @@ type Format int
 const (
 	FormatUnknown Format = iota
 	FormatText
-	FormatBinary
 	FormatSnapshot
 )
 
@@ -999,8 +999,6 @@ func (f Format) String() string {
 	switch f {
 	case FormatText:
 		return "text"
-	case FormatBinary:
-		return "binary"
 	case FormatSnapshot:
 		return "snapshot"
 	}
@@ -1011,15 +1009,26 @@ func (f Format) String() string {
 // (six suffice). Text files are recognized by starting with a comment,
 // whitespace, or a V/E record; anything else is FormatUnknown.
 func SniffFormat(head []byte) Format {
-	switch {
-	case bytes.HasPrefix(head, []byte(snapshotMagic)):
+	if bytes.HasPrefix(head, []byte(snapshotMagic)) {
 		return FormatSnapshot
-	case bytes.HasPrefix(head, []byte(binaryMagic)):
-		return FormatBinary
 	}
 	trimmed := bytes.TrimLeft(head, " \t\r\n")
 	if len(trimmed) == 0 || trimmed[0] == '#' || trimmed[0] == 'V' || trimmed[0] == 'E' {
 		return FormatText
 	}
 	return FormatUnknown
+}
+
+// FileWriter maps an output format name to the function that writes a graph
+// file in it and the format's file extension: "text" (.tg, the human
+// interchange format) or "snapshot" (.gsn, the mmap-able machine format).
+// Any other name fails with ErrUnknownFormat.
+func FileWriter(name string) (write func(path string, g *Graph) error, ext string, err error) {
+	switch name {
+	case "text":
+		return WriteFile, ".tg", nil
+	case "snapshot":
+		return WriteSnapshotFile, ".gsn", nil
+	}
+	return nil, "", fmt.Errorf("%w: output format %q (want text or snapshot)", ErrUnknownFormat, name)
 }

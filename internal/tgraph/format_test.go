@@ -322,7 +322,7 @@ func TestSniffFormat(t *testing.T) {
 		want Format
 	}{
 		{snapshotMagic, FormatSnapshot},
-		{binaryMagic, FormatBinary},
+		{"GRTG1\n", FormatUnknown}, // the retired binary format
 		{"# comment\n", FormatText},
 		{"V 1 0 5\n", FormatText},
 		{"E 1 1 2 0 5\n", FormatText},
@@ -343,15 +343,14 @@ func TestReadAnyFileAllFormats(t *testing.T) {
 	g := TransitExample()
 	dir := t.TempDir()
 
-	write := map[string]func(string, *Graph) error{
-		"text":     WriteFile,
-		"binary":   WriteBinaryFile,
-		"snapshot": WriteSnapshotFile,
-	}
-	for name, fn := range write {
+	for _, name := range []string{"text", "snapshot"} {
 		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(dir, name+".graph")
-			if err := fn(path, g); err != nil {
+			write, ext, err := FileWriter(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "g"+ext)
+			if err := write(path, g); err != nil {
 				t.Fatal(err)
 			}
 			g2, err := ReadAnyFile(path)
@@ -364,22 +363,54 @@ func TestReadAnyFileAllFormats(t *testing.T) {
 		})
 	}
 
-	t.Run("garbage", func(t *testing.T) {
-		path := filepath.Join(dir, "garbage.bin")
-		if err := os.WriteFile(path, []byte("\x7fELF\x02\x01junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ReadAnyFile(path)
-		if !errors.Is(err, ErrUnknownFormat) {
-			t.Fatalf("garbage: %v, want ErrUnknownFormat", err)
-		}
-		// The error names the sniffed bytes and both known magics, so a
-		// mis-shipped file is diagnosable from the message alone.
-		msg := err.Error()
-		for _, want := range []string{`"\x7fELF\x02\x01"`, "GRTG1", "GSNAP"} {
-			if !bytes.Contains([]byte(msg), []byte(want)) {
-				t.Errorf("error %q does not mention %q", msg, want)
+	// Unrecognized leading bytes, the retired binary format's magic
+	// included, fail with an error naming the sniffed bytes and the snapshot
+	// magic, so a mis-shipped file is diagnosable from the message alone.
+	for name, head := range map[string]string{
+		"garbage": "\x7fELF\x02\x01junk",
+		"binary":  "GRTG1\n\x03\x01", // the retired binary format
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, []byte(head), 0o644); err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
+			_, err := ReadAnyFile(path)
+			if !errors.Is(err, ErrUnknownFormat) {
+				t.Fatalf("%v, want ErrUnknownFormat", err)
+			}
+			msg := err.Error()
+			for _, want := range []string{fmt.Sprintf("%q", head[:len(snapshotMagic)]), "GSNAP"} {
+				if !bytes.Contains([]byte(msg), []byte(want)) {
+					t.Errorf("error %q does not mention %q", msg, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFileWriter pins the output-format names the commands accept: text and
+// snapshot map to their writers and extensions, anything else — the retired
+// binary format included — is ErrUnknownFormat.
+func TestFileWriter(t *testing.T) {
+	for _, c := range []struct {
+		name, ext string
+		ok        bool
+	}{
+		{"text", ".tg", true},
+		{"snapshot", ".gsn", true},
+		{"binary", "", false},
+		{"bogus", "", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			write, ext, err := FileWriter(c.name)
+			if c.ok != (err == nil) || c.ok != (write != nil) || ext != c.ext {
+				t.Errorf("FileWriter(%q) = (writer %v, %q, %v), want (writer %v, %q, ok %v)",
+					c.name, write != nil, ext, err, c.ok, c.ext, c.ok)
+			}
+			if !c.ok && !errors.Is(err, ErrUnknownFormat) {
+				t.Errorf("FileWriter(%q): %v, want ErrUnknownFormat", c.name, err)
+			}
+		})
+	}
 }

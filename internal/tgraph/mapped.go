@@ -51,7 +51,7 @@ func asUint32s(b []byte, n int) []uint32 {
 // directly, so they are faulted in only when touched. Close releases the
 // mapping; the graph and every slice its accessors return must not be
 // used afterwards. A Mapped wrapping an ordinary heap graph (Unmapped, or
-// OpenAnyFile over a text/binary file) has a no-op Close.
+// OpenAnyFile over a text file) has a no-op Close.
 type Mapped struct {
 	*Graph
 	Extra  []byte // opaque application payload from the extra section, nil if absent
@@ -138,9 +138,9 @@ func openMapped(path string, verifyCRC bool) (*Mapped, error) {
 	return &Mapped{Graph: g, Extra: extra, data: data, mapped: mapped}, nil
 }
 
-// OpenAnyFile opens a graph file in any of the three formats, memory-
-// mapping snapshots and parsing text/binary files into the heap. The
-// returned handle's Close is a no-op for non-snapshot files.
+// OpenAnyFile opens a graph file in either format, memory-mapping snapshots
+// and parsing text files into the heap. The returned handle's Close is a
+// no-op for text files.
 func OpenAnyFile(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -157,4 +157,29 @@ func OpenAnyFile(path string) (*Mapped, error) {
 		return nil, err
 	}
 	return Unmapped(g), nil
+}
+
+// ReadAnyFile loads a graph from the text or snapshot format, sniffing the
+// magic header. An unrecognized header yields an ErrUnknownFormat error
+// naming the sniffed bytes and the snapshot magic.
+func ReadAnyFile(path string) (*Graph, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	head := make([]byte, len(snapshotMagic))
+	n, _ := io.ReadFull(f, head)
+	head = head[:n]
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	switch SniffFormat(head) {
+	case FormatSnapshot:
+		return ReadSnapshot(f)
+	case FormatText:
+		return Read(f)
+	}
+	return nil, fmt.Errorf("%w: %s starts with %q, which matches neither the text format nor the snapshot (%q) magic",
+		ErrUnknownFormat, path, head, snapshotMagic)
 }
